@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cloning import CloningSystem, ProductSystem, image_membership
-from .groups import BaseGroup, Monomorphism, perm_apply
+from .groups import BaseGroup, Monomorphism, identity_mono, perm_apply
 from .thompson import (
     Element,
     powers_closed_form,
@@ -44,12 +44,16 @@ DEFAULT_MAX_LEAVES = 40
 
 @dataclass
 class ExperimentReport:
-    """Reproducible record of one experiment run."""
+    """Reproducible record of one experiment run.
 
-    experiment: str
-    system: str
-    params: dict
-    seed: int
+    An experiment runner may leave experiment, system and seed for the
+    dispatcher to fill in, as it does runtime_ms.
+    """
+
+    experiment: str = ""
+    system: str = ""
+    params: dict = field(default_factory=dict)
+    seed: int = 0
     series: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
     verdict: str = "pass"
@@ -265,7 +269,7 @@ def fpf_suite(
     (d) cloning a fresh copy at different spots disagrees (not uniform).
     """
     rng = random.Random(seed)
-    system = ProductSystem(base, (Monomorphism("id", lambda a: a, lambda a: a), phi))
+    system = ProductSystem(base, (identity_mono(), phi))
     params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
     report = ExperimentReport(
         experiment="fpf", system=system.name, params=params, seed=seed

@@ -1,6 +1,8 @@
 """Config-driven experiment runner.
 
-Every subcommand builds a RunConfig, dispatches to a runner, and emits a
+EXPERIMENTS is the one table of experiments, their parameters and defaults;
+each subcommand's flags, config validation and default filling follow from
+it.  Every subcommand builds a RunConfig, dispatches to a runner, and emits a
 JSON report; reports are byte-identical for identical (config, seed) apart
 from the runtime_ms field.  Exit codes: 0 all checked properties hold,
 1 a checked property failed (the report carries the witness), 2 usage or
@@ -16,7 +18,8 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Optional
 
 from . import analysis, cantor, cloning
@@ -28,13 +31,28 @@ from .analysis import (
     enumerate_system_ball,
 )
 from .cloning import make_system
-from .groups import UnsupportedError, base_group_by_name, mono_for, perm_apply
+from .groups import UnsupportedError, perm_apply
 from .thompson import element_text, parse_element, random_element
 from .trees import caret, expand_at, leaf_index, leaf_words, parse_tree
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (reported with exit code 2)."""
+
+
+# The one type of each parameter key, whichever experiments take it.
+PARAM_TYPES: dict[str, type] = {
+    **dict.fromkeys(("n", "radius", "m", "depth", "budget"), int),
+    **dict.fromkeys(("exhaustive", "one_sided"), bool),
+    **dict.fromkeys(("property", "tree", "leaf_word", "middle", "graft_a", "graft_b"), str),
+    "elements": list,  # of element texts
+}
+_EXPECTED = {
+    int: "a nonnegative integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list of strings",
+}
 
 
 @dataclass
@@ -46,46 +64,52 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        """Reject a malformed config before any work is done."""
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.system, str) or not self.system:
+            raise ConfigError(f"need a system registry key, got {self.system!r}")
+        if type(self.seed) is not int:
             raise ConfigError("seed must be an integer")
-        for key in ("n", "radius", "m", "depth", "budget"):
-            val = self.params.get(key)
-            if val is not None and (not isinstance(val, int) or val < 0):
-                raise ConfigError(f"parameter {key} must be a nonnegative integer")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a file path")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be a JSON object")
+        declared = EXPERIMENTS[self.experiment][0]
+        for key, val in self.params.items():
+            if key not in declared:
+                raise ConfigError(f"{self.experiment} takes no parameter {key!r}")
+            kind = PARAM_TYPES[key]
+            # type() rather than isinstance(): a JSON true is no integer here
+            if val is not None and not (
+                type(val) is kind
+                and (kind is not int or val >= 0)
+                and (kind is not list or all(type(t) is str for t in val))
+            ):
+                raise ConfigError(f"parameter {key} must be {_EXPECTED[kind]}")
 
 
-def _get(config: RunConfig, key: str, default):
-    val = config.params.get(key)
-    return default if val is None else val
-
-
-def _elements_for(config: RunConfig, system, count: int, rng, require_non_fd=False):
-    texts = config.params.get("elements") or []
-    if texts:
-        return [parse_element(system, t) for t in texts]
+def _elements_for(system, params: dict, seed: int):
+    if params["elements"]:
+        return [parse_element(system, t) for t in params["elements"]]
     return analysis.sample_nontrivial_elements(
-        system, count, rng, require_non_fd=require_non_fd
+        system, params["budget"], random.Random(seed)
     )
 
 
-def run_verify_axioms(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    n_max = _get(config, "n", 4)
-    exhaustive = bool(_get(config, "exhaustive", False))
-    budget = _get(config, "budget", 1000)
+def run_verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
     result = cloning.verify_axioms(
-        system, n_max=n_max, exhaustive=exhaustive, budget=budget, seed=config.seed
+        system,
+        n_max=params["n"],
+        exhaustive=params["exhaustive"],
+        budget=params["budget"],
+        seed=seed,
     )
     report = ExperimentReport(
-        experiment="verify-axioms",
-        system=system.name,
-        params={"n": n_max, "exhaustive": exhaustive, "budget": budget},
-        seed=config.seed,
+        params=params,
         series={"checked": result["checked"]},
         verdict="pass" if result["ok"] else "fail",
-        evidence=EVIDENCE_EXHAUSTIVE if exhaustive else EVIDENCE_SAMPLED,
+        evidence=EVIDENCE_EXHAUSTIVE if params["exhaustive"] else EVIDENCE_SAMPLED,
     )
     if not result["ok"]:
         report.witnesses.append(
@@ -94,23 +118,12 @@ def run_verify_axioms(config: RunConfig) -> ExperimentReport:
     return report
 
 
-def run_probe(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    prop = config.params.get("property")
-    if prop not in cloning.PROBE_PROPERTIES:
-        raise ConfigError(
-            f"probe needs a property in {cloning.PROBE_PROPERTIES}, got {prop!r}"
-        )
-    n_max = _get(config, "n", 4)
-    budget = _get(config, "budget", 500)
+def run_probe(system, params: dict, seed: int) -> ExperimentReport:
     result = cloning.probe_property(
-        system, prop, n_max=n_max, budget=budget, seed=config.seed
+        system, params["property"], n_max=params["n"], budget=params["budget"], seed=seed
     )
     report = ExperimentReport(
-        experiment="probe",
-        system=system.name,
-        params={"property": prop, "n": n_max, "budget": budget},
-        seed=config.seed,
+        params=params,
         series={"verdict_detail": result["verdict"]},
         verdict="fail" if result["verdict"] == "fails" else "pass",
         evidence=EVIDENCE_EXHAUSTIVE
@@ -122,20 +135,14 @@ def run_probe(config: RunConfig) -> ExperimentReport:
     return report
 
 
-def run_diversity(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    n = _get(config, "n", 3)
-    budget = _get(config, "budget", 500)
-    exhaustive = config.params.get("exhaustive")
+def run_diversity(system, params: dict, seed: int) -> ExperimentReport:
+    n = params["n"]
     result = cloning.diversity_witness(
-        system, n, budget=budget, seed=config.seed, exhaustive=exhaustive
+        system, n, budget=params["budget"], seed=seed, exhaustive=params["exhaustive"]
     )
     witness = result["witness"]
     report = ExperimentReport(
-        experiment="diversity",
-        system=system.name,
-        params={"n": n, "budget": budget},
-        seed=config.seed,
+        params={"n": n, "budget": params["budget"]},
         series={"witness_found": witness is not None},
         verdict="witness" if witness is not None else "no-witness",
         evidence=EVIDENCE_EXHAUSTIVE if result["exhaustive"] else EVIDENCE_SAMPLED,
@@ -147,38 +154,29 @@ def run_diversity(config: RunConfig) -> ExperimentReport:
     return report
 
 
-def run_conjugates(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    radius = _get(config, "radius", 3)
-    rng = random.Random(config.seed)
-    elements = _elements_for(config, system, _get(config, "budget", 5), rng)
+def run_growth(count: Callable, system, params: dict, seed: int) -> ExperimentReport:
+    """Per-element counts over the F_d balls of radius 1..radius."""
+    radius = params["radius"]
+    elements = _elements_for(system, params, seed)
     balls = [enumerate_fd_ball(system, L) for L in range(1, radius + 1)]
     series: dict = {"radii": list(range(1, radius + 1))}
     ok = True
     for i, x in enumerate(elements):
-        counts = [analysis.conjugate_count(x, ball) for ball in balls]
+        counts = [count(x, ball) for ball in balls]
         series[f"element_{i}"] = counts
         if any(a > b for a, b in zip(counts, counts[1:])):
             ok = False  # monotonicity in the radius is an exact invariant
-    report = ExperimentReport(
-        experiment="conjugates",
-        system=system.name,
+    return ExperimentReport(
         params={"radius": radius, "count": len(elements)},
-        seed=config.seed,
         series=series,
         witnesses=[element_text(x) for x in elements],
         verdict="pass" if ok else "fail",
-        evidence=EVIDENCE_SAMPLED,
     )
-    return report
 
 
-def run_normalizer(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    radius = _get(config, "radius", 3)
-    one_sided = bool(_get(config, "one_sided", False))
-    rng = random.Random(config.seed)
-    elements = _elements_for(config, system, _get(config, "budget", 3), rng)
+def run_normalizer(system, params: dict, seed: int) -> ExperimentReport:
+    radius, one_sided = params["radius"], params["one_sided"]
+    elements = _elements_for(system, params, seed)
     ball = enumerate_fd_ball(system, radius)
     series: dict = {"radius": radius, "results": []}
     all_normalize = True
@@ -190,66 +188,33 @@ def run_normalizer(config: RunConfig) -> ExperimentReport:
         if not ok:
             all_normalize = False
             witnesses.append(f"failing conjugator: {element_text(failing)}")
-    report = ExperimentReport(
-        experiment="normalizer",
-        system=system.name,
+    return ExperimentReport(
         params={"radius": radius, "one_sided": one_sided},
-        seed=config.seed,
         series=series,
         witnesses=witnesses,
         verdict="pass" if all_normalize else "fail",
-        evidence=EVIDENCE_SAMPLED,
     )
-    return report
 
 
-def run_wahp_orbit(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
-    radius = _get(config, "radius", 3)
-    rng = random.Random(config.seed)
-    elements = _elements_for(config, system, _get(config, "budget", 3), rng)
-    balls = [enumerate_fd_ball(system, L) for L in range(1, radius + 1)]
-    series: dict = {"radii": list(range(1, radius + 1))}
-    ok = True
-    for i, x in enumerate(elements):
-        counts = [analysis.coset_orbit_count(x, ball) for ball in balls]
-        series[f"element_{i}"] = counts
-        if any(a > b for a, b in zip(counts, counts[1:])):
-            ok = False
-    report = ExperimentReport(
-        experiment="wahp-orbit",
-        system=system.name,
-        params={"radius": radius, "count": len(elements)},
-        seed=config.seed,
-        series=series,
-        witnesses=[element_text(x) for x in elements],
-        verdict="pass" if ok else "fail",
-        evidence=EVIDENCE_SAMPLED,
-    )
-    return report
-
-
-def run_mixing(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
+def run_mixing(system, params: dict, seed: int) -> ExperimentReport:
     d = system.d
-    rng = random.Random(config.seed)
-    if config.params.get("tree"):
-        R = parse_tree(config.params["tree"], d)
+    rng = random.Random(seed)
+    if params["tree"]:
+        R = parse_tree(params["tree"], d)
     elif system.pure:
         R = caret(d)
     else:
         # non-pure systems need room for a nontrivial middle fixing the leaf
         R = expand_at(caret(d), d)
-    v_text = config.params.get("leaf_word")
-    if v_text:
-        v = tuple(int(c) for c in v_text)
+    if params["leaf_word"]:
+        v = tuple(int(c) for c in params["leaf_word"])
     elif system.pure:
         v = (1,)
     else:
         # the last leaf: slightly pure middles fix its index automatically
         v = leaf_words(R)[-1]
-    if config.params.get("middle"):
-        g = system.family.parse(R.leaf_count, config.params["middle"])
+    if params["middle"]:
+        g = system.family.parse(R.leaf_count, params["middle"])
     else:
         # prefer a nontrivial middle that acts trivially at the graft leaf:
         # for tuple middles, identity in the grafted slot (the expansions
@@ -269,23 +234,20 @@ def run_mixing(config: RunConfig) -> ExperimentReport:
                 g = cand
                 break
     # default grafts: one caret hung on the first vs the last leaf of a caret
-    if config.params.get("graft_a"):
-        graft_a = parse_tree(config.params["graft_a"], d)
+    if params["graft_a"]:
+        graft_a = parse_tree(params["graft_a"], d)
     else:
         graft_a = expand_at(caret(d), 1)
-    if config.params.get("graft_b"):
-        graft_b = parse_tree(config.params["graft_b"], d)
+    if params["graft_b"]:
+        graft_b = parse_tree(params["graft_b"], d)
     else:
         graft_b = expand_at(caret(d), d)
     result = analysis.mixing_witness(system, R, v, g, graft_a, graft_b)
     report = ExperimentReport(
-        experiment="mixing",
-        system=system.name,
         params={
-            "tree": config.params.get("tree", "caret"),
+            "tree": params["tree"] or "caret",
             "leaf_word": "".join(str(c) for c in v),
         },
-        seed=config.seed,
         series={
             "commutes": result["commutes"],
             "f_nontrivial": result["f_nontrivial"],
@@ -294,7 +256,6 @@ def run_mixing(config: RunConfig) -> ExperimentReport:
         },
         witnesses=[element_text(result["x"]), element_text(result["f"])],
         verdict="pass" if result["commutes"] and result["f_nontrivial"] else "fail",
-        evidence=EVIDENCE_SAMPLED,
     )
     if not result["commutes"]:
         report.witnesses.append(
@@ -304,21 +265,12 @@ def run_mixing(config: RunConfig) -> ExperimentReport:
     return report
 
 
-def run_fpf(config: RunConfig) -> ExperimentReport:
-    parts = config.system.split(":")
-    if len(parts) != 3 or parts[0] != "prod":
+def run_fpf(system, params: dict, seed: int) -> ExperimentReport:
+    labels = system.name.split(":")[-1].split(",")
+    if not system.name.startswith("prod:") or labels[0] != "id" or len(labels) != 2:
         raise ConfigError("fpf expects a system of the form prod:<group>:id,<phi>")
-    base = base_group_by_name(parts[1])
-    labels = [x.strip() for x in parts[2].split(",")]
-    if len(labels) != 2 or labels[0] != "id":
-        raise ConfigError("fpf expects exactly the monomorphisms id,<phi>")
-    phi = mono_for(base, labels[1])
     return analysis.fpf_suite(
-        base,
-        phi,
-        n=_get(config, "n", 3),
-        m_max=_get(config, "m", 5),
-        seed=config.seed,
+        system.base, system.monos[1], n=params["n"], m_max=params["m"], seed=seed
     )
 
 
@@ -328,17 +280,14 @@ def _random_point(d: int, depth: int, rng) -> "cantor.CantorWord":
     return cantor.CantorWord(pre, per)
 
 
-def run_cantor_crosscheck(config: RunConfig) -> ExperimentReport:
-    system = make_system(config.system)
+def run_cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
     if not system.permutation_type:
         raise ConfigError("cantor-crosscheck needs one of the F/T/V/Vhat systems")
-    radius = _get(config, "radius", 2)
-    budget = _get(config, "budget", 100)
-    depth = _get(config, "depth", 12)
-    rng = random.Random(config.seed)
+    radius, budget, depth = params["radius"], params["budget"], params["depth"]
+    rng = random.Random(seed)
     ball = enumerate_system_ball(system, radius)
     pairs = [(x, y) for x in ball for y in ball]
-    rng2 = random.Random(config.seed + 1)
+    rng2 = random.Random(seed + 1)
     sampled = [
         (random_element(system, rng2), random_element(system, rng2))
         for _ in range(budget)
@@ -371,10 +320,7 @@ def run_cantor_crosscheck(config: RunConfig) -> ExperimentReport:
     )
     ok = not failures and order_ok and inv_ok
     report = ExperimentReport(
-        experiment="cantor-crosscheck",
-        system=system.name,
-        params={"radius": radius, "budget": budget, "depth": depth},
-        seed=config.seed,
+        params=params,
         series={
             "pairs_checked": checked,
             "points_checked": points_checked,
@@ -382,22 +328,37 @@ def run_cantor_crosscheck(config: RunConfig) -> ExperimentReport:
             "inverses_match": inv_ok,
         },
         verdict="pass" if ok else "fail",
-        evidence=EVIDENCE_SAMPLED,
     )
     report.witnesses.extend(f"{a} * {b}" for a, b in failures)
     return report
 
 
-EXPERIMENTS: dict[str, Callable[[RunConfig], ExperimentReport]] = {
-    "verify-axioms": run_verify_axioms,
-    "probe": run_probe,
-    "diversity": run_diversity,
-    "conjugates": run_conjugates,
-    "normalizer": run_normalizer,
-    "wahp-orbit": run_wahp_orbit,
-    "mixing": run_mixing,
-    "fpf": run_fpf,
-    "cantor-crosscheck": run_cantor_crosscheck,
+# name -> (parameter defaults, runner).  A parameter left out of a config,
+# or given as null, takes its default; one the experiment does not list is
+# rejected.  A runner takes (system, params with defaults filled in, seed)
+# and returns the report; run() stamps the experiment, system and seed.
+EXPERIMENTS: dict[str, tuple[dict, Callable[..., ExperimentReport]]] = {
+    "verify-axioms": ({"n": 4, "exhaustive": False, "budget": 1000}, run_verify_axioms),
+    "probe": ({"property": None, "n": 4, "budget": 500}, run_probe),
+    "diversity": ({"n": 3, "budget": 500, "exhaustive": None}, run_diversity),
+    "conjugates": (
+        {"radius": 3, "budget": 5, "elements": None},
+        partial(run_growth, analysis.conjugate_count),
+    ),
+    "normalizer": (
+        {"radius": 3, "budget": 3, "one_sided": False, "elements": None},
+        run_normalizer,
+    ),
+    "wahp-orbit": (
+        {"radius": 3, "budget": 3, "elements": None},
+        partial(run_growth, analysis.coset_orbit_count),
+    ),
+    "mixing": (
+        dict.fromkeys(("tree", "leaf_word", "middle", "graft_a", "graft_b")),
+        run_mixing,
+    ),
+    "fpf": ({"n": 3, "m": 5}, run_fpf),
+    "cantor-crosscheck": ({"radius": 2, "budget": 100, "depth": 12}, run_cantor_crosscheck),
 }
 
 
@@ -405,37 +366,50 @@ def run(config: RunConfig) -> ExperimentReport:
     """Validate, dispatch, and time one experiment."""
     config.validate()
     start = time.monotonic()
-    report = EXPERIMENTS[config.experiment](config)
+    defaults, runner = EXPERIMENTS[config.experiment]
+    params = {
+        key: default if config.params.get(key) is None else config.params[key]
+        for key, default in defaults.items()
+    }
+    system = make_system(config.system)
+    report = runner(system, params, config.seed)
+    report.experiment, report.system = config.experiment, system.name
+    report.seed = config.seed
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
 
 
-def emit_report(report: ExperimentReport, out: Optional[str]) -> None:
-    text = report.to_json()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+# Parameter flags on every subcommand (an experiment rejects those it does not take)
+_COMMON_PARAM_HELP = {
+    "n": "group level bound",
+    "radius": "ball radius: max carets per tree",
+    "m": "power / chain length bound",
+    "depth": "word depth bound for point checks",
+    "budget": "sample budget",
+    "exhaustive": "enumerate, not sample",
+}
+
+
+def _add_param_flag(p: argparse.ArgumentParser, key: str, help=None) -> None:
+    """The flag for a parameter, in the form its type calls for."""
+    kind = PARAM_TYPES[key]
+    flag = "--" + key.replace("_", "-")
+    if key == "property":
+        p.add_argument(key, nargs="?", choices=cloning.PROBE_PROPERTIES)
+    elif kind is list:  # repeatable: --element A --element B
+        p.add_argument(flag.removesuffix("s"), action="append", dest=key, metavar="TEXT")
+    elif kind is bool:
+        p.add_argument(flag, action="store_true", default=None, help=help)
     else:
-        sys.stdout.write(text)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("DCS_SEED")
-    return int(env) if env else 0
+        p.add_argument(flag, type=kind, help=help, metavar="TEXT" if kind is str else None)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", help="registry key, e.g. V, Vhat, V:3, psi:Z3:id,id")
-    p.add_argument("--n", type=int, help="group level bound")
-    p.add_argument("--radius", type=int, help="ball radius: max carets per tree")
-    p.add_argument("--m", type=int, help="power / chain length bound")
-    p.add_argument("--depth", type=int, help="word depth bound for point checks")
-    p.add_argument("--budget", type=int, help="sample budget")
+    for key, help in _COMMON_PARAM_HELP.items():
+        _add_param_flag(p, key, help)
     p.add_argument("--seed", type=int, help="random seed (default $DCS_SEED or 0)")
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument(
-        "--exhaustive", action="store_true", default=None, help="enumerate, not sample"
-    )
     p.add_argument("--config", help="JSON config file; flags override its fields")
 
 
@@ -445,103 +419,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-scale experiments on cloning-system Thompson-like groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name, (defaults, _) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_common_flags(p)
-        if name == "probe":
-            p.add_argument(
-                "property",
-                nargs="?",
-                choices=cloning.PROBE_PROPERTIES,
-                help="property to probe",
-            )
-        if name in ("conjugates", "normalizer", "wahp-orbit"):
-            p.add_argument(
-                "--element",
-                action="append",
-                dest="elements",
-                metavar="TEXT",
-                help="element in text form; repeatable (default: seeded samples)",
-            )
-        if name == "normalizer":
-            p.add_argument("--one-sided", action="store_true", default=None)
-        if name == "mixing":
-            p.add_argument("--tree", help="base tree in text form (default: caret)")
-            p.add_argument("--leaf-word", help="graft leaf address, e.g. 1")
-            p.add_argument("--middle", help="middle group element text")
-            p.add_argument("--graft-a", help="first grafted tree")
-            p.add_argument("--graft-b", help="second grafted tree")
+        for key in defaults:
+            if key not in _COMMON_PARAM_HELP:
+                _add_param_flag(p, key)
     p = sub.add_parser("report", help="run an experiment described by --config")
     _add_common_flags(p)
     p.add_argument("--experiment", help="experiment name when no config file is given")
     return parser
 
 
-_PARAM_KEYS = ("n", "radius", "m", "depth", "budget")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The config file's fields, overridden by the flags that were given."""
     doc: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    params = dict(doc.get("params", {}))
-    for key in _PARAM_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if getattr(args, "exhaustive", None) is not None:
-        params["exhaustive"] = args.exhaustive
-    for attr, key in (
-        ("elements", "elements"),
-        ("one_sided", "one_sided"),
-        ("tree", "tree"),
-        ("leaf_word", "leaf_word"),
-        ("middle", "middle"),
-        ("graft_a", "graft_a"),
-        ("graft_b", "graft_b"),
-        ("property", "property"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            params[key] = val
-    experiment = args.command
-    if experiment == "report":
-        experiment = getattr(args, "experiment", None) or doc.get("experiment")
-        if not experiment:
-            raise ConfigError("report needs --experiment or an experiment in --config")
-    system = getattr(args, "system", None) or doc.get("system")
-    if not system:
-        raise ConfigError("no system given (flag --system or config field)")
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = doc.get("seed", _default_seed())
-    out = getattr(args, "out", None) or doc.get("out")
-    return RunConfig(
-        system=system, experiment=experiment, params=params, seed=seed, out=out
-    )
+    if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+        raise ConfigError("a config must be a JSON object, and so must its params")
+    names = [f.name for f in fields(RunConfig)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown config fields {unknown}")
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    if args.command != "report":
+        flags["experiment"] = args.command
+    merged = {**dict.fromkeys(names), **doc, **{k: flags[k] for k in names if k in flags}}
+    merged["params"] = {
+        **doc.get("params", {}),
+        **{k: v for k, v in flags.items() if k in PARAM_TYPES},
+    }
+    if merged["seed"] is None:
+        merged["seed"] = int(os.environ.get("DCS_SEED") or 0)
+    return RunConfig(**merged)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        config.validate()
-        make_system(config.system)  # validate the registry key before running
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(config)
-        emit_report(report, config.out)
-    except (UnsupportedError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(report.to_json())
+        else:
+            sys.stdout.write(report.to_json())
+    except (ConfigError, ValueError, UnsupportedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.verdict in ("pass", "no-witness", "witness") else 1

@@ -301,11 +301,6 @@ class GroupFamily:
     def enumerate(self, n: int):
         raise UnsupportedError(f"{self.name} G_{n} cannot be enumerated")
 
-    def order(self, n: int) -> Optional[int]:
-        if not self.is_finite(n):
-            return None
-        return len(self.enumerate(n))
-
     def to_text(self, n: int, g) -> str:
         raise NotImplementedError
 

@@ -228,16 +228,8 @@ def mul(x: Element, y: Element) -> Element:
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)
 
 
-def inv(x: Element) -> Element:
-    return x.inv()
-
-
 def commutator(x: Element, y: Element) -> Element:
     return x * y * x.inv() * y.inv()
-
-
-def in_Fd(x: Element) -> bool:
-    return x.in_fd()
 
 
 def powers_closed_form(system: CloningSystem, T: Tree, k: int, l: int, m: int) -> Element:

@@ -374,11 +374,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def all_trees(d: int, max_carets: int) -> Iterator[Tree]:
-    for c in range(max_carets + 1):
-        yield from trees_with_carets(d, c)
-
-
 def random_tree(d: int, carets: int, rng) -> Tree:
     """Random tree grown by `carets` expansions at uniformly random leaves."""
     t = Tree(d)

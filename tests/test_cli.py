@@ -1,8 +1,19 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cloning_systems.cli import EXPERIMENTS, ConfigError, RunConfig, build_parser, main, run
+from cloning_systems.cli import (
+    EXPERIMENTS,
+    PARAM_TYPES,
+    ConfigError,
+    RunConfig,
+    _config_from_args,
+    build_parser,
+    main,
+    run,
+)
 
 
 def run_cli(capsys, *argv):
@@ -266,3 +277,90 @@ def test_exhaustive_on_infinite_family_exit_two(capsys):
     )
     assert code == 2
     assert "infinite" in err
+
+
+# Reports of fixed configs, recorded as
+# run(RunConfig(**config)).to_json(include_runtime=False): a report whose bytes
+# change fails here.
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{c['config']['experiment']}-{c['config']['system']}" for c in GOLDEN]
+)
+def test_golden_reports_byte_identical(case):
+    assert run(RunConfig(**case["config"])).to_json(include_runtime=False) == case["report"]
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"params": {"elements": [1, 2]}}, ["conjugates", "--system", "V"]),
+        ([1], ["conjugates", "--system", "V"]),
+        ({"params": [1]}, ["conjugates", "--system", "V"]),
+        ({"system": 3}, ["conjugates"]),
+        ({"experiment": ["x"], "system": "V"}, ["report"]),
+        ({"params": {"radius": True}}, ["conjugates", "--system", "V"]),
+        ({"params": {"nn": 3}}, ["conjugates", "--system", "V"]),
+        ({"sed": 3}, ["conjugates", "--system", "V"]),
+        ({"out": 3}, ["conjugates", "--system", "V"]),
+        (None, ["conjugates", "--system", "V", "--m", "3"]),
+        (None, ["diversity", "--system", "V", "--radius", "2"]),
+        (None, ["mixing", "--system", "V", "--budget", "2"]),
+    ],
+    ids=[
+        "element-not-text", "doc-list", "params-list", "system-int",
+        "experiment-list", "bool-for-int", "unknown-param", "unknown-field",
+        "out-int", "flag-m-on-conjugates",
+        "flag-radius-on-diversity", "flag-budget-on-mixing",
+    ],
+)
+def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+CONFIG_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {},
+    optional={
+        "system": st.sampled_from(["V", "T", "prod:Z3:id,inv"]) | JSON_VALUES,
+        "experiment": st.sampled_from(list(EXPERIMENTS)) | JSON_VALUES,
+        "params": st.dictionaries(
+            st.sampled_from(list(PARAM_TYPES)) | st.text(max_size=4),
+            JSON_VALUES,
+            max_size=4,
+        )
+        | JSON_VALUES,
+        "seed": JSON_VALUES,
+        "out": JSON_VALUES,
+    },
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(doc=CONFIG_DOCS, command=st.sampled_from(list(EXPERIMENTS) + ["report"]))
+def test_config_loader_raises_only_config_error(tmp_path, doc, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    args = build_parser().parse_args([command, "--config", str(cfg)])
+    try:
+        _config_from_args(args).validate()
+    except ConfigError:
+        pass
