@@ -365,7 +365,10 @@ def sample_nontrivial_elements(
     while len(out) < count:
         guard += 1
         if guard > 10000:
-            raise RuntimeError("sampler failed to find enough nontrivial elements")
+            raise ValueError(
+                f"could not sample {count} distinct nontrivial elements "
+                f"with at most {max_carets} carets"
+            )
         x = random_element(system, rng, max_carets=max_carets)
         if x.is_identity() or x in seen:
             continue

@@ -203,9 +203,6 @@ class AutomatonElement:
     def __setattr__(self, name, value):
         raise AttributeError("AutomatonElement is immutable")
 
-    def is_trivial_word(self) -> bool:
-        return not self.word
-
     def step(self, letter: int) -> tuple[int, "AutomatonElement"]:
         """One level of the wreath recursion: output letter and section."""
         if not 1 <= letter <= self.d:

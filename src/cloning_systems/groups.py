@@ -367,7 +367,10 @@ class CyclicShiftFamily(PermutationFamily):
         return tuple(out)
 
     def contains(self, n, g):
-        return len(g) == n and g in set(self.enumerate(n))
+        # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
+        return n >= 1 and len(g) == n and all(
+            g[i] == (i + g[0] - 1) % n + 1 for i in range(n)
+        )
 
     def sample(self, n, rng):
         return self.enumerate(n)[rng.randrange(n)]

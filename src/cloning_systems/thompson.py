@@ -154,11 +154,6 @@ class Element:
         raise AttributeError("Element is immutable")
 
     @classmethod
-    def from_triple(cls, t: Triple) -> "Element":
-        r = reduce_triple(t)
-        return cls(t.sys, r.T, r.g, r.U, _raw=True)
-
-    @classmethod
     def identity(cls, system: CloningSystem) -> "Element":
         l = leaf(system.d)
         return cls(system, l, system.family.identity(1), l, _raw=True)
@@ -203,12 +198,18 @@ class Element:
         return Element(self.sys, self.U, self.sys.family.inv(n, self.g), self.T)
 
     def __pow__(self, m: int) -> "Element":
+        """Repeated squaring: about 2 log2(m) products instead of m."""
         if m < 0:
             return self.inv() ** (-m)
-        out = Element.identity(self.sys)
-        for _ in range(m):
-            out = out * self
-        return out
+        out = None
+        square = self
+        while m:
+            if m & 1:
+                out = square if out is None else out * square
+            m >>= 1
+            if m:
+                square = square * square
+        return Element.identity(self.sys) if out is None else out
 
     def __repr__(self):
         return f"Element({self.sys.name}, {element_text(self)!r})"

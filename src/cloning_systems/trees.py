@@ -63,8 +63,9 @@ def leaf(d: int) -> Tree:
     return Tree(d)
 
 
+@lru_cache(maxsize=None)
 def caret(d: int) -> Tree:
-    """The d-ary caret: one node with d leaf children."""
+    """The d-ary caret: one node with d leaf children (shared per arity)."""
     return Tree(d, tuple(Tree(d) for _ in range(d)))
 
 
@@ -282,31 +283,30 @@ def dominates(big: Tree, small: Tree) -> bool:
     return all(dominates(a, b) for a, b in zip(big.children, small.children))
 
 
-def _first_divergent_leaf(cur: Tree, target: Tree, offset: int = 0) -> Optional[int]:
-    """First leaf index of cur at which target carries an internal node."""
-    if cur.is_leaf:
-        return offset + 1 if not target.is_leaf else None
-    if target.is_leaf:
-        raise ValueError("target does not dominate the tree")
-    acc = offset
-    for a, b in zip(cur.children, target.children):
-        found = _first_divergent_leaf(a, b, acc)
-        if found is not None:
-            return found
-        acc += a.leaf_count
-    return None
-
-
 def expansion_path(t: Tree, target: Tree) -> list[int]:
-    """Leaf indices whose successive expansion carries t onto target."""
+    """Leaf indices whose successive expansion carries t onto target.
+
+    The carets are added leftmost first: each node of target that is
+    internal in target but a leaf of t, taken in preorder, contributes
+    (target leaves to its left) + 1.
+    """
+    if t.d != target.d:
+        raise ValueError("arity mismatch")
     path: list[int] = []
-    cur = t
-    while cur != target:
-        k = _first_divergent_leaf(cur, target)
-        if k is None:
-            raise ValueError("target does not dominate the tree")
-        path.append(k)
-        cur = expand_at(cur, k)
+
+    def walk(node: Tree, goal: Tree, offset: int) -> None:
+        if goal.is_leaf:
+            if not node.is_leaf:
+                raise ValueError("target does not dominate the tree")
+            return
+        if node.is_leaf:
+            path.append(offset + 1)
+        # once expanded, a leaf of t has d leaf children; the leaf stands in
+        for a, b in zip(node.children or (node,) * node.d, goal.children):
+            walk(a, b, offset)
+            offset += b.leaf_count
+
+    walk(t, target, 0)
     return path
 
 

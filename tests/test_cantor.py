@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cloning_systems.analysis import sample_nontrivial_elements
 from cloning_systems.cantor import (
     Automaton,
     AutomatonElement,
@@ -208,6 +209,14 @@ def test_invert_matches_tree_pair_inverse():
     for _ in range(100):
         x = random_element(V, rng)
         assert from_tree_pair(x.inv()).equals(from_tree_pair(x).invert())
+
+
+def test_pow_matches_repeated_composition():
+    for x in sample_nontrivial_elements(V, 6, random.Random(8), max_carets=3):
+        f = acc = from_tree_pair(x)
+        for m in range(1, 13):
+            assert from_tree_pair(x**m).equals(acc)
+            acc = acc.compose(f)
 
 
 def test_apply_respects_composition():

@@ -307,12 +307,14 @@ def test_golden_reports_byte_identical(case):
         (None, ["conjugates", "--system", "V", "--m", "3"]),
         (None, ["diversity", "--system", "V", "--radius", "2"]),
         (None, ["mixing", "--system", "V", "--budget", "2"]),
+        (None, ["conjugates", "--system", "F", "--radius", "1", "--budget", "100"]),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
         "experiment-list", "bool-for-int", "unknown-param", "unknown-field",
         "out-int", "flag-m-on-conjugates",
         "flag-radius-on-diversity", "flag-budget-on-mixing",
+        "budget-beyond-small-elements",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,19 @@ def test_stabilizer_membership():
     fam = StabilizerFamily()
     assert fam.contains(4, cycle_perm(4, (1, 2)))
     assert not fam.contains(4, cycle_perm(4, (3, 4)))
+
+
+def test_cyclic_shift_membership_matches_enumeration():
+    fam = CyclicShiftFamily()
+    for n in range(1, 7):
+        shifts = set(fam.enumerate(n))
+        assert len(shifts) == n
+        for p in permutations(range(1, n + 1)):
+            assert fam.contains(n, p) == (p in shifts)
+        for g in fam.enumerate(n + 1) + (perm_identity(n - 1), perm_identity(n + 1)):
+            assert not fam.contains(n, g)
+        # agrees with the identity shift everywhere but at the last point
+        assert not fam.contains(n, perm_identity(n - 1) + (n + 1,))
 
 
 def test_free_reduce_examples():

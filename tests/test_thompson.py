@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cloning_systems.analysis import sample_nontrivial_elements
 from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
 from cloning_systems.groups import UnsupportedError, cycle_perm, perm_identity
 from cloning_systems.thompson import (
@@ -123,6 +124,39 @@ def test_pow_matches_repeated_multiplication():
                 assert x**m == acc
                 acc = acc * x
             assert x**-2 == (x.inv()) ** 2
+
+
+POWER_KEYS = BUILTIN_SYSTEM_KEYS + ("V:3", "F:3")
+
+
+@pytest.mark.parametrize("key", POWER_KEYS)
+def test_pow_by_squaring_matches_repeated_multiplication(key):
+    system = make_system(key)
+    x, y = sample_nontrivial_elements(system, 2, random.Random(31), max_carets=3)
+    # times a generator of F_d, so that most powers keep growing
+    for x in (x, y * fd_generator(system, 1)):
+        acc = Element.identity(system)
+        for m in range(41):
+            assert x**m == acc
+            if m <= 6:
+                assert x**-m == acc.inv()
+            acc = acc * x
+
+
+@pytest.mark.parametrize("dd,key", [(2, "F"), (2, "V"), (3, "F:3")])
+def test_pow_of_spine_commutators_matches_closed_form(dd, key):
+    system = make_system(key)
+    rng = random.Random(37)
+    for _ in range(4):
+        T = random_tree(dd, rng.randint(1, 3), rng)
+        n = T.leaf_count
+        k = rng.randint(1, n - 1)
+        l = rng.randint(k + 1, n)
+        x = Element(
+            system, expand_at(T, k), system.family.identity(n + dd - 1), expand_at(T, l)
+        )
+        for m in (1, 2, 3, 7, 16, 25, 40):
+            assert x**m == powers_closed_form(system, T, k, l, m)
 
 
 def test_equality_iff_quotient_is_identity():

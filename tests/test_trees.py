@@ -11,6 +11,7 @@ from cloning_systems.trees import (
     common_expansion,
     dominates,
     expand_at,
+    expansion_path,
     graft,
     leaf,
     leaf_index,
@@ -147,6 +148,52 @@ def test_common_expansion_replay_and_minimality():
         for k in removable_carets(w):
             smaller = collapse_at(w, k)
             assert not (dominates(smaller, t) and dominates(smaller, u))
+
+
+def _sequential_expansion_path(t, target):
+    """Reference: expand the first leaf where target is deeper, until equal."""
+
+    def first_divergent_leaf(cur, goal, offset=0):
+        if cur.is_leaf:
+            return offset + 1 if not goal.is_leaf else None
+        if goal.is_leaf:
+            raise ValueError("target does not dominate the tree")
+        for a, b in zip(cur.children, goal.children):
+            found = first_divergent_leaf(a, b, offset)
+            if found is not None:
+                return found
+            offset += a.leaf_count
+        return None
+
+    path = []
+    cur = t
+    while cur != target:
+        k = first_divergent_leaf(cur, target)
+        if k is None:
+            raise ValueError("target does not dominate the tree")
+        path.append(k)
+        cur = expand_at(cur, k)
+    return path
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expansion_path_matches_sequential_replay(d):
+    rng = random.Random(100 + d)
+    for _ in range(1500):
+        t = random_tree(d, rng.randint(0, 6), rng)
+        u = random_tree(d, rng.randint(0, 6), rng)
+        w = tree_union(t, u)
+        assert expansion_path(t, w) == _sequential_expansion_path(t, w)
+        assert expansion_path(u, w) == _sequential_expansion_path(u, w)
+        if not dominates(u, t):
+            for fn in (expansion_path, _sequential_expansion_path):
+                with pytest.raises(ValueError):
+                    fn(t, u)
+
+
+def test_expansion_path_rejects_other_arity():
+    with pytest.raises(ValueError):
+        expansion_path(leaf(2), caret(3))
 
 
 def test_agree_away_from_identical_trees_first_leaf():
