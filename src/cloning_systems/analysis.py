@@ -268,6 +268,8 @@ def fpf_suite(
     kernel element by those powers gives pairwise distinct elements, and
     (d) cloning a fresh copy at different spots disagrees (not uniform).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     system = ProductSystem(base, (identity_mono(), phi))
     params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}

@@ -24,6 +24,8 @@ from typing import Callable, Optional
 
 from . import analysis, cantor, cloning
 from .analysis import (
+    DEFAULT_MAX_BALL,
+    DEFAULT_MAX_LEAVES,
     EVIDENCE_EXHAUSTIVE,
     EVIDENCE_SAMPLED,
     ExperimentReport,
@@ -92,9 +94,23 @@ class RunConfig:
 def _elements_for(system, params: dict, seed: int):
     if params["elements"]:
         return [parse_element(system, t) for t in params["elements"]]
-    return analysis.sample_nontrivial_elements(
+    elements = analysis.sample_nontrivial_elements(
         system, params["budget"], random.Random(seed)
     )
+    if not elements:
+        raise ConfigError("no element to check: give --element or a budget >= 1")
+    return elements
+
+
+def _fd_ball(system, radius: int) -> analysis.FdBall:
+    """The F_d ball of the radius, refused when a cap cut it short."""
+    ball = enumerate_fd_ball(system, radius)
+    if ball.truncated:
+        raise ConfigError(
+            f"the F_d ball of radius {radius} is cut at {DEFAULT_MAX_BALL} elements "
+            f"or {DEFAULT_MAX_LEAVES} leaves; use a smaller radius"
+        )
+    return ball
 
 
 def run_verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
@@ -157,8 +173,10 @@ def run_diversity(system, params: dict, seed: int) -> ExperimentReport:
 def run_growth(count: Callable, system, params: dict, seed: int) -> ExperimentReport:
     """Per-element counts over the F_d balls of radius 1..radius."""
     radius = params["radius"]
+    if radius < 1:
+        raise ConfigError("radius must be >= 1")
     elements = _elements_for(system, params, seed)
-    balls = [enumerate_fd_ball(system, L) for L in range(1, radius + 1)]
+    balls = [_fd_ball(system, L) for L in range(1, radius + 1)]
     series: dict = {"radii": list(range(1, radius + 1))}
     ok = True
     for i, x in enumerate(elements):
@@ -177,7 +195,7 @@ def run_growth(count: Callable, system, params: dict, seed: int) -> ExperimentRe
 def run_normalizer(system, params: dict, seed: int) -> ExperimentReport:
     radius, one_sided = params["radius"], params["one_sided"]
     elements = _elements_for(system, params, seed)
-    ball = enumerate_fd_ball(system, radius)
+    ball = _fd_ball(system, radius)
     series: dict = {"radius": radius, "results": []}
     all_normalize = True
     witnesses = []

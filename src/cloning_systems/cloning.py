@@ -374,6 +374,8 @@ def verify_axioms(
     Exhaustive sweeps are proofs at the checked levels; sampled sweeps are
     evidence only.  Stops at the first counterexample.
     """
+    if n_max < 1:
+        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     checked = {"C1": 0, "C2": 0, "C3": 0}
     for axiom in ("C1", "C2", "C3"):
@@ -450,6 +452,8 @@ def probe_property(
     """
     if prop not in PROBE_PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
+    if n_max < 1:
+        raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     exhaustive = all(system.family.is_finite(n) for n in range(1, n_max + 1))
     for n in range(1, n_max + 1):

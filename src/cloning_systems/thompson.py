@@ -22,8 +22,8 @@ from .groups import UnsupportedError, perm_apply, perm_inv
 from .trees import (
     Tree,
     collapse_at,
+    common_expansion,
     expand_at,
-    expansion_path,
     leaf,
     leaf_words,
     parse_tree,
@@ -31,7 +31,6 @@ from .trees import (
     removable_carets,
     right_spine,
     tree_text,
-    tree_union,
 )
 
 
@@ -97,42 +96,30 @@ def expand_left(t: Triple, j: int) -> Triple:
     return expand_triple(t, k)
 
 
-def _reduction_sites(t: Triple) -> list[int]:
-    return sorted(removable_carets(t.U))
-
-
-def _try_reduce_at(t: Triple, k: int) -> Optional[Triple]:
-    d = t.sys.d
-    n_small = t.n - (d - 1)
-    if n_small < 1:
-        return None
-    g0 = t.sys.try_unclone(n_small, k, t.g)
-    if g0 is None:
-        return None
-    j = perm_apply(t.sys.rho(n_small, g0), k)
-    if j not in removable_carets(t.T):
-        return None
-    return Triple(t.sys, collapse_at(t.T, j), g0, collapse_at(t.U, k))
-
-
 def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
     """Contract removable carets until none applies.
 
     The result is independent of the order in which sites are tried
     (expansions commute), which the test suite checks by passing an rng
-    that randomizes the site order.
+    that randomizes the site order.  Returns t itself when nothing collapses.
     """
+    system, T, g, U = t.sys, t.T, t.g, t.U
     while True:
-        sites = _reduction_sites(t)
+        n_small = U.leaf_count - (system.d - 1)
+        sites = sorted(removable_carets(U))
         if rng is not None:
             rng.shuffle(sites)
+        left = removable_carets(T)
         for k in sites:
-            reduced = _try_reduce_at(t, k)
-            if reduced is not None:
-                t = reduced
+            g0 = system.try_unclone(n_small, k, g)
+            if g0 is None:
+                continue
+            j = perm_apply(system.rho(n_small, g0), k)
+            if j in left:
+                T, g, U = collapse_at(T, j), g0, collapse_at(U, k)
                 break
         else:
-            return t
+            return t if U is t.U else Triple(system, T, g, U)
 
 
 class Element:
@@ -194,8 +181,9 @@ class Element:
         return mul(self, other)
 
     def inv(self) -> "Element":
-        n = self.n
-        return Element(self.sys, self.U, self.sys.family.inv(n, self.g), self.T)
+        # by C1, [U, g^-1, T] reduces exactly where [T, g, U] does: already canonical
+        g_inv = self.sys.family.inv(self.n, self.g)
+        return Element(self.sys, self.U, g_inv, self.T, _raw=True)
 
     def __pow__(self, m: int) -> "Element":
         """Repeated squaring: about 2 log2(m) products instead of m."""
@@ -218,12 +206,12 @@ class Element:
 def mul(x: Element, y: Element) -> Element:
     if x.sys.name != y.sys.name:
         raise SystemMismatch(f"cannot multiply {x.sys.name} by {y.sys.name}")
-    w = tree_union(x.U, y.T)
+    w, x_path, y_path = common_expansion(x.U, y.T)
     tx = x.triple()
-    for k in expansion_path(x.U, w):
+    for k in x_path:
         tx = expand_triple(tx, k)
     ty = y.triple()
-    for j in expansion_path(y.T, w):
+    for j in y_path:
         ty = expand_left(ty, j)
     n = w.leaf_count
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)

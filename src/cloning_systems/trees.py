@@ -146,23 +146,12 @@ def removable_carets(t: Tree) -> set[int]:
 
 def collapse_at(t: Tree, k: int) -> Tree:
     """Inverse of expand_at: delete the caret whose leaves are k..k+d-1."""
-    if k not in removable_carets(t):
+    word = leaf_word(t, k) if 1 <= k <= t.leaf_count else ()
+    if not word or word[-1] != 1 or not all(
+        c.is_leaf for c in subtree_at(t, word[:-1]).children
+    ):
         raise ValueError(f"no removable caret at leaf {k}")
-
-    def walk(node: Tree, kk: int) -> Tree:
-        if all(c.is_leaf for c in node.children) and kk == 1:
-            return Tree(node.d)
-        kids = []
-        acc = 0
-        for c in node.children:
-            if not c.is_leaf and acc < kk and kk + node.d - 1 <= acc + c.leaf_count:
-                kids.append(walk(c, kk - acc))
-            else:
-                kids.append(c)
-            acc += c.leaf_count
-        return Tree(node.d, tuple(kids))
-
-    return walk(t, k)
+    return replace_at(t, word[:-1], Tree(t.d))
 
 
 def leaf_words(t: Tree) -> tuple[tuple[int, ...], ...]:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cloning_systems.analysis import DEFAULT_MAX_BALL
 from cloning_systems.cli import (
     EXPERIMENTS,
     PARAM_TYPES,
@@ -308,13 +309,22 @@ def test_golden_reports_byte_identical(case):
         (None, ["diversity", "--system", "V", "--radius", "2"]),
         (None, ["mixing", "--system", "V", "--budget", "2"]),
         (None, ["conjugates", "--system", "F", "--radius", "1", "--budget", "100"]),
+        (None, ["fpf", "--system", "prod:Z3:id,inv", "--n", "0"]),
+        (None, ["verify-axioms", "--system", "V", "--n", "0"]),
+        (None, ["probe", "pure", "--system", "V", "--n", "0"]),
+        (None, ["conjugates", "--system", "V", "--radius", "0"]),
+        (None, ["conjugates", "--system", "V", "--budget", "0"]),
+        (None, ["normalizer", "--system", "V", "--budget", "0"]),
+        (None, ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"]),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
         "experiment-list", "bool-for-int", "unknown-param", "unknown-field",
         "out-int", "flag-m-on-conjugates",
         "flag-radius-on-diversity", "flag-budget-on-mixing",
-        "budget-beyond-small-elements",
+        "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
+        "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
+        "normalizer-budget-zero", "normalizer-truncated-ball",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
@@ -327,6 +337,16 @@ def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_truncated_ball_exits_two_naming_radius_and_cap(capsys):
+    # the V ball of radius 7 passes DEFAULT_MAX_BALL elements
+    code, out, err = run_cli(
+        capsys, "conjugates", "--system", "V", "--radius", "7", "--budget", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "radius 7" in err and str(DEFAULT_MAX_BALL) in err
 
 
 JSON_VALUES = st.recursive(

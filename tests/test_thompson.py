@@ -4,7 +4,12 @@ import pytest
 
 from cloning_systems.analysis import sample_nontrivial_elements
 from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
-from cloning_systems.groups import UnsupportedError, cycle_perm, perm_identity
+from cloning_systems.groups import (
+    UnsupportedError,
+    cycle_perm,
+    perm_apply,
+    perm_identity,
+)
 from cloning_systems.thompson import (
     Element,
     SystemMismatch,
@@ -24,7 +29,14 @@ from cloning_systems.thompson import (
     random_element,
     reduce_triple,
 )
-from cloning_systems.trees import caret, expand_at, leaf, random_tree
+from cloning_systems.trees import (
+    caret,
+    collapse_at,
+    expand_at,
+    leaf,
+    random_tree,
+    removable_carets,
+)
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 V = make_system("V")
@@ -90,6 +102,72 @@ def test_reduce_roundtrip_and_confluence(key):
         shuffled = reduce_triple(t, rng=random.Random(trial))
         assert (plain.T, plain.g, plain.U) == (x.T, x.g, x.U)
         assert (shuffled.T, shuffled.g, shuffled.U) == (x.T, x.g, x.U)
+
+
+def _reference_reduce(t, rng=None):
+    """The earlier reduction loop: one helper per site, each rescanning T."""
+
+    def try_reduce_at(t, k):
+        n_small = t.n - (t.sys.d - 1)
+        if n_small < 1:
+            return None
+        g0 = t.sys.try_unclone(n_small, k, t.g)
+        if g0 is None:
+            return None
+        j = perm_apply(t.sys.rho(n_small, g0), k)
+        if j not in removable_carets(t.T):
+            return None
+        return Triple(t.sys, collapse_at(t.T, j), g0, collapse_at(t.U, k))
+
+    while True:
+        sites = sorted(removable_carets(t.U))
+        if rng is not None:
+            rng.shuffle(sites)
+        for k in sites:
+            reduced = try_reduce_at(t, k)
+            if reduced is not None:
+                t = reduced
+                break
+        else:
+            return t
+
+
+REDUCE_KEYS = BUILTIN_SYSTEM_KEYS + ("V:3", "F:3")
+
+
+@pytest.mark.parametrize("key", REDUCE_KEYS)
+def test_reduce_matches_reference_loop(key):
+    system = make_system(key)
+    d = system.d
+    rng = random.Random(41)
+    for trial in range(80):
+        if trial % 2:
+            t = random_element(system, rng).triple()
+            for _ in range(rng.randint(0, 6)):
+                t = expand_triple(t, rng.randint(1, t.n))
+        else:  # an arbitrary pair, reduced or not
+            c = rng.randint(0, 4)
+            T, U = random_tree(d, c, rng), random_tree(d, c, rng)
+            t = Triple(system, T, system.family.sample(T.leaf_count, rng), U)
+        expected = _reference_reduce(t)
+        assert reduce_triple(t) == expected
+        rng_a, rng_b = random.Random(trial), random.Random(trial)
+        assert reduce_triple(t, rng=rng_a) == _reference_reduce(t, rng=rng_b)
+        assert rng_a.getstate() == rng_b.getstate()  # one shuffle per pass
+        if expected == t:
+            assert reduce_triple(t) is t
+
+
+@pytest.mark.parametrize("key", REDUCE_KEYS)
+def test_inverse_is_built_canonical(key):
+    system = make_system(key)
+    rng = random.Random(43)
+    for _ in range(60):
+        x = random_element(system, rng, max_carets=4)
+        inv = x.inv()
+        assert inv == Element(system, x.U, system.family.inv(x.n, x.g), x.T)
+        t = inv.triple()
+        assert reduce_triple(t) is t
 
 
 def test_reduce_identity_chain():

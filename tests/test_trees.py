@@ -94,6 +94,19 @@ def test_collapse_requires_caret():
         collapse_at(expand_at(caret(2), 1), 2)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_collapse_at_every_small_tree_and_position(d):
+    for carets in range(5):
+        for t in trees_with_carets(d, carets):
+            removable = removable_carets(t)
+            for k in range(t.leaf_count + 2):
+                if k in removable:
+                    assert expand_at(collapse_at(t, k), k) == t
+                else:
+                    with pytest.raises(ValueError, match=f"no removable caret at leaf {k}"):
+                        collapse_at(t, k)
+
+
 def test_leaf_word_index_bijection():
     rng = random.Random(1)
     for _ in range(100):
