@@ -270,6 +270,8 @@ def fpf_suite(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if m_max < 1:
+        raise ValueError("m must be >= 1")
     rng = random.Random(seed)
     system = ProductSystem(base, (identity_mono(), phi))
     params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
@@ -284,14 +286,17 @@ def fpf_suite(
         pool = list(elems)
         report.evidence = EVIDENCE_EXHAUSTIVE
 
+    premises = {
+        "premise_involution": lambda g: phi.apply(phi.apply(g)) == g,
+        "premise_fixed_point_free": lambda g: g == base.identity or phi.apply(g) != g,
+    }
     checks: dict[str, bool] = {}
-    checks["premise_involution"] = all(
-        phi.apply(phi.apply(g)) == g for g in pool
-    )
-    checks["premise_fixed_point_free"] = all(
-        phi.apply(g) != g for g in pool if g != base.identity
-    )
-    if not (checks["premise_involution"] and checks["premise_fixed_point_free"]):
+    for premise, holds in premises.items():
+        breaker = next((g for g in pool if not holds(g)), None)
+        checks[premise] = breaker is None
+        if breaker is not None:
+            report.witnesses.append(f"{premise} fails at {base.to_text(breaker)}")
+    if not all(checks.values()):
         report.series = {"checks": checks}
         report.verdict = "premise-failed"
         return report

@@ -13,6 +13,8 @@ of these tables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .groups import UnsupportedError, perm_identity, perm_apply
@@ -307,16 +309,20 @@ def full_reflection(d: int) -> AutomatonElement:
 Rule = tuple[Word, Word, AutomatonElement]
 
 
-def _is_complete_prefix_code(words: list[Word], d: int) -> bool:
-    if len(words) == 1:
-        return words[0] == ()
-    if any(not w for w in words):
+def _is_complete_prefix_code(words: Iterable[Word], d: int) -> bool:
+    """True when the words over {1..d} are prefix-free and their cones cover.
+
+    In sorted order a word that is a prefix of another is a prefix of its
+    successor; a prefix-free code is complete exactly when its Kraft sum
+    (sum of d^-|w|) is 1.
+    """
+    words = sorted(words)
+    if any(a not in range(1, d + 1) for w in words for a in w):
         return False
-    for a in range(1, d + 1):
-        bucket = [w[1:] for w in words if w[0] == a]
-        if not bucket or not _is_complete_prefix_code(bucket, d):
-            return False
-    return True
+    if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
+        return False
+    depth = max(map(len, words), default=0)
+    return sum(d ** (depth - len(w)) for w in words) == d**depth
 
 
 class PrefixMap:
@@ -337,7 +343,7 @@ class PrefixMap:
         rngs = [r[1] for r in rules]
         if not _is_complete_prefix_code(doms, d):
             raise ValueError("domain words do not form a complete prefix code")
-        if not _is_complete_prefix_code(sorted(rngs), d):
+        if not _is_complete_prefix_code(rngs, d):
             raise ValueError("range words do not form a complete prefix code")
         for _, _, s in rules:
             if s.d != d:
@@ -352,15 +358,22 @@ class PrefixMap:
     def identity(cls, d: int) -> "PrefixMap":
         return cls(d, (((), (), identity_element(d)),))
 
-    def rule_for(self, point: CantorWord) -> Rule:
-        for rule in self.rules:
-            if point.prefix(len(rule[0])) == rule[0]:
-                return rule
-        raise AssertionError("complete prefix code failed to match")
+    def rule_at(self, word: Word) -> Optional[Rule]:
+        """The rule whose domain word is a prefix of word, or None.
+
+        The domain words are sorted and prefix-free, so only the last one
+        that is <= word can be a prefix of it.
+        """
+        i = bisect_right(self.rules, word, key=itemgetter(0))
+        if i == 0:
+            return None
+        rule = self.rules[i - 1]
+        return rule if word[: len(rule[0])] == rule[0] else None
 
     def apply(self, point: CantorWord) -> CantorWord:
         """Image of an eventually periodic point; exact via cycle detection."""
-        dom, rng, state = self.rule_for(point)
+        depth = max(len(u) for u, _, _ in self.rules)
+        dom, rng, state = self.rule_at(point.prefix(depth))
         tail = point.drop(len(dom))
         out_pre: list[int] = []
         cur = state
@@ -391,11 +404,7 @@ class PrefixMap:
         stack = list(other.rules)
         while stack:
             u, v, s = stack.pop()
-            hit = None
-            for w_plus, w_minus, t in self.rules:
-                if v[: len(w_plus)] == w_plus:
-                    hit = (w_plus, w_minus, t)
-                    break
+            hit = self.rule_at(v)
             if hit is None:
                 for a in range(1, d + 1):
                     o, sec = s.step(a)
@@ -420,30 +429,25 @@ class PrefixMap:
         """Canonical table: merge sibling rules that expand a single rule."""
         return PrefixMap(self.d, _normalize_rules(list(self.rules), self.d))
 
-    def refine_to(self, domain_words: list[Word]) -> list[Rule]:
-        """Rewrite the table over a finer complete domain code."""
-        out: list[Rule] = []
-        for w in domain_words:
-            for u, v, s in self.rules:
-                if w[: len(u)] == u:
-                    image, section = s.apply_finite(w[len(u) :])
-                    out.append((w, v + image, section))
-                    break
-            else:
-                raise ValueError("refinement words do not refine the domain code")
-        return out
-
     def equals(self, other: "PrefixMap") -> bool:
-        """Semantic equality: same action on every point."""
+        """Semantic equality: same action on every point.
+
+        Walks the leaves of the union of the two domain code trees in
+        lexicographic order and compares both rules' images and sections.
+        """
         if self.d != other.d:
             return False
-        words = _common_refinement(
-            [r[0] for r in self.rules], [r[0] for r in other.rules], self.d
-        )
-        mine = self.refine_to(words)
-        theirs = other.refine_to(words)
-        for (_, v1, s1), (_, v2, s2) in zip(mine, theirs):
-            if v1 != v2 or not s1.equals(s2):
+        stack: list[Word] = [()]
+        while stack:
+            w = stack.pop()
+            mine, theirs = self.rule_at(w), other.rule_at(w)
+            if mine is None or theirs is None:
+                stack.extend(w + (a,) for a in range(self.d, 0, -1))
+                continue
+            (u1, v1, s1), (u2, v2, s2) = mine, theirs
+            image1, section1 = s1.apply_finite(w[len(u1) :])
+            image2, section2 = s2.apply_finite(w[len(u2) :])
+            if v1 + image1 != v2 + image2 or not section1.equals(section2):
                 return False
         return True
 
@@ -452,25 +456,6 @@ class PrefixMap:
 
     def __repr__(self):
         return f"PrefixMap({rule_table_text(self)!r})"
-
-
-def _common_refinement(code1: list[Word], code2: list[Word], d: int) -> list[Word]:
-    """Leaves of the union of the two code trees, in lexicographic order."""
-    prefixes = set()
-    for w in list(code1) + list(code2):
-        for i in range(len(w)):
-            prefixes.add(w[:i])
-    out: list[Word] = []
-
-    def walk(w: Word) -> None:
-        if w in prefixes:
-            for a in range(1, d + 1):
-                walk(w + (a,))
-        else:
-            out.append(w)
-
-    walk(())
-    return out
 
 
 def _normalize_rules(rules: list[Rule], d: int) -> list[Rule]:

@@ -194,6 +194,8 @@ def run_growth(count: Callable, system, params: dict, seed: int) -> ExperimentRe
 
 def run_normalizer(system, params: dict, seed: int) -> ExperimentReport:
     radius, one_sided = params["radius"], params["one_sided"]
+    if radius < 1:
+        raise ConfigError("radius must be >= 1")
     elements = _elements_for(system, params, seed)
     ball = _fd_ball(system, radius)
     series: dict = {"radius": radius, "results": []}

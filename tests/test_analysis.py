@@ -301,6 +301,20 @@ def test_fpf_suite_two_torsion_premise_fails():
     assert not report.series["checks"]["premise_fixed_point_free"]
 
 
+@pytest.mark.parametrize("group, phi", [("Z2", "inv"), ("Z3", "id")])
+def test_fpf_suite_premise_failure_names_a_witness(group, phi):
+    base = base_group_by_name(group)
+    report = fpf_suite(base, mono_for(base, phi), n=3, m_max=5, seed=0)
+    assert report.verdict == "premise-failed"
+    assert report.witnesses == ["premise_fixed_point_free fails at 1"]
+
+
+def test_fpf_suite_rejects_empty_power_range():
+    z3 = base_group_by_name("Z3")
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        fpf_suite(z3, mono_for(z3, "inv"), n=3, m_max=0)
+
+
 def test_report_json_roundtrip():
     report = ExperimentReport(
         experiment="diversity",

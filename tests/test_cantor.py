@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from cloning_systems.cantor import (
     AutomatonElement,
     CantorWord,
     PrefixMap,
+    _is_complete_prefix_code,
     cantor_word_text,
     from_tree_pair,
     full_reflection,
@@ -305,3 +307,144 @@ def test_prefix_map_equality_distinguishes():
     g = from_tree_pair(fd_generator(V, 1))
     assert not f.equals(g)
     assert f.equals(f)
+
+
+def test_prefix_map_rejects_letters_outside_the_alphabet():
+    ident = identity_element(2)
+    for bad in (0, 3):
+        # {1, bad} is prefix-free with Kraft sum 1, yet the cone at 2 is uncovered
+        with pytest.raises(ValueError, match="domain"):
+            PrefixMap(2, (((1,), (1,), ident), ((bad,), (2,), ident)))
+        with pytest.raises(ValueError, match="domain"):
+            PrefixMap(
+                2, (((1,), (1,), ident), ((2,), (2,), ident), ((bad,), (1, 1), ident))
+            )
+        with pytest.raises(ValueError, match="range"):
+            PrefixMap(
+                2,
+                (
+                    ((1,), (1,), ident),
+                    ((2, 1), (2,), ident),
+                    ((2, 2), (bad,), ident),
+                ),
+            )
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the table algorithms they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_is_complete_prefix_code(words, d):
+    """Split the words by first letter and recurse into each bucket."""
+    if len(words) == 1:
+        return words[0] == ()
+    if any(not w for w in words):
+        return False
+    for a in range(1, d + 1):
+        bucket = [w[1:] for w in words if w[0] == a]
+        if not bucket or not _reference_is_complete_prefix_code(bucket, d):
+            return False
+    return True
+
+
+def _reference_equals(f, g):
+    """Rewrite both tables over the leaves of the union of their domain code
+    trees, then compare the rewritten rules one by one."""
+    prefixes = {u[:i] for u, _, _ in f.rules + g.rules for i in range(len(u))}
+    words = []
+
+    def walk(w):
+        if w in prefixes:
+            for a in range(1, f.d + 1):
+                walk(w + (a,))
+        else:
+            words.append(w)
+
+    walk(())
+
+    def refine(table):
+        out = []
+        for w in words:
+            u, v, s = next(r for r in table.rules if w[: len(r[0])] == r[0])
+            image, section = s.apply_finite(w[len(u) :])
+            out.append((v + image, section))
+        return out
+
+    return all(
+        v1 == v2 and s1.equals(s2) for (v1, s1), (v2, s2) in zip(refine(f), refine(g))
+    )
+
+
+def _words_up_to(d, length):
+    return [w for n in range(length + 1) for w in product(range(1, d + 1), repeat=n)]
+
+
+@pytest.mark.parametrize("d, length", [(2, 3), (3, 2)])
+def test_complete_prefix_code_matches_recursive_split(d, length):
+    words = _words_up_to(d, length)
+    complete, trees = 0, 1  # complete codes of depth <= L: 1 + (those of depth < L)^d
+    for _ in range(length):
+        trees = 1 + trees**d
+    for mask in range(1, 2 ** len(words)):
+        subset = [w for i, w in enumerate(words) if mask >> i & 1]
+        expected = _reference_is_complete_prefix_code(subset, d)
+        assert _is_complete_prefix_code(subset, d) == expected, subset
+        complete += expected
+    assert complete == trees
+
+
+def _split_rule(f, k):
+    """An equal table with rule k expanded into its d children."""
+    u, v, s = f.rules[k]
+    children = []
+    for a in range(1, f.d + 1):
+        out, section = s.step(a)
+        children.append((u + (a,), v + (out,), section))
+    return PrefixMap(f.d, f.rules[:k] + tuple(children) + f.rules[k + 1 :])
+
+
+def _random_tables(key, rng, count):
+    system = make_system(key)
+    h = _reflection_map(system.d)
+    tables = []
+    for _ in range(count):
+        f = from_tree_pair(random_element(system, rng))
+        tables.append(f)
+        tables.append(h.invert().compose(f).compose(h))
+    return tables
+
+
+@pytest.mark.parametrize("key", ["V", "T", "Vhat", "V:3"])
+def test_equals_matches_common_refinement(key):
+    rng = random.Random(key)
+    tables = _random_tables(key, rng, 40)
+    equal = unequal = 0
+    for f, g in zip(tables, tables[1:] + tables[:1]):
+        variants = [
+            (f, g),
+            (f, _split_rule(f, rng.randrange(len(f.rules)))),
+            (_split_rule(f, 0), _split_rule(g, len(g.rules) - 1)),
+            (f.compose(g), g.invert().invert().compose(f.normalize())),
+            (f, PrefixMap(f.d, [(u, v, s * full_reflection(f.d)) for u, v, s in f.rules])),
+        ]
+        for a, b in variants:
+            expected = _reference_equals(a, b)
+            assert a.equals(b) == expected == b.equals(a)
+            equal += expected
+            unequal += not expected
+    assert equal >= 40 and unequal >= 40
+
+
+@pytest.mark.parametrize("key", ["V", "Vhat", "V:3"])
+def test_rule_at_matches_linear_scan(key):
+    rng = random.Random(23)
+    for f in _random_tables(key, rng, 30):
+        depth = max(len(u) for u, _, _ in f.rules)
+        for _ in range(20):
+            word = tuple(rng.randint(1, f.d) for _ in range(rng.randint(0, depth + 2)))
+            expected = next((r for r in f.rules if word[: len(r[0])] == r[0]), None)
+            assert f.rule_at(word) == expected
+        shortest = min(len(u) for u, _, _ in f.rules)
+        if shortest:
+            for word in _words_up_to(f.d, shortest - 1):
+                assert f.rule_at(word) is None

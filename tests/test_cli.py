@@ -316,6 +316,8 @@ def test_golden_reports_byte_identical(case):
         (None, ["conjugates", "--system", "V", "--budget", "0"]),
         (None, ["normalizer", "--system", "V", "--budget", "0"]),
         (None, ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"]),
+        (None, ["normalizer", "--system", "V", "--radius", "0", "--budget", "1"]),
+        (None, ["fpf", "--system", "prod:Z3:id,inv", "--m", "0"]),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
@@ -325,6 +327,7 @@ def test_golden_reports_byte_identical(case):
         "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
         "normalizer-budget-zero", "normalizer-truncated-ball",
+        "normalizer-radius-zero", "fpf-m-zero",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
@@ -386,3 +389,41 @@ def test_config_loader_raises_only_config_error(tmp_path, doc, command):
         _config_from_args(args).validate()
     except ConfigError:
         pass
+
+
+SWEEP_SYSTEMS = ["V", "T", "prod:Z3:id,id", "prod:Z3:id,inv", "psi:F2:id,swap"]
+
+
+def _sweep_argv(name, system, value):
+    """Every integer parameter of the experiment set to value."""
+    argv = [name, "--system", system]
+    if name == "probe":
+        argv.append("pure")
+    for key in EXPERIMENTS[name][0]:
+        if PARAM_TYPES[key] is int:
+            argv += ["--" + key, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _sweep_argv(name, system, value)
+        for name, (defaults, _) in EXPERIMENTS.items()
+        for system in SWEEP_SYSTEMS
+        for value in (0, 1, 2)
+        if value == 0 or any(PARAM_TYPES[k] is int for k in defaults)
+    ],
+    ids=" ".join,
+)
+def test_experiment_sweep_exit_codes_keep_their_contract(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+        report = json.loads(out)
+        if code == 1:
+            assert report["witnesses"], report

@@ -4,6 +4,7 @@ import pytest
 
 from cloning_systems.cloning import (
     BUILTIN_SYSTEM_KEYS,
+    SymmetricSystem,
     check_axiom,
     diversity_witness,
     image_membership,
@@ -105,6 +106,27 @@ def test_axioms_sampled_infinite(system):
     result = verify_axioms(system, n_max=6, budget=1000, seed=0)
     assert result["ok"], result
     assert sum(result["checked"].values()) >= 3000
+
+
+class _FirstLeafCloning(SymmetricSystem):
+    """Clones at the first leaf whatever k is asked for: C1 fails for S_2."""
+
+    def clone(self, n, k, g):
+        return super().clone(n, 1, g)
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_verify_axioms_reports_a_counterexample(exhaustive):
+    broken = _FirstLeafCloning("V")
+    result = verify_axioms(broken, n_max=3, exhaustive=exhaustive, budget=200, seed=0)
+    assert result["ok"] is False
+    assert result["axiom"] == "C1"
+    assert result["exhaustive"] is exhaustive
+    payload = result["counterexample"]
+    assert payload["lhs"] != payload["rhs"]
+    n, g, h, k = payload["n"], payload["g"], payload["h"], payload["k"]
+    assert payload["lhs"] == broken.clone(n, k, broken.family.mul(n, g, h))
+    assert check_axiom(broken, "C1", n, g=g, h=h, k=k) == (False, payload)
 
 
 def test_axiom_c1_trivial_elements():
