@@ -21,6 +21,7 @@ from .cloning import CloningSystem, ProductSystem, image_membership
 from .groups import BaseGroup, Monomorphism, identity_mono, perm_apply
 from .thompson import (
     Element,
+    fd_conjugates,
     powers_closed_form,
     random_element,
 )
@@ -163,10 +164,13 @@ def enumerate_system_ball(
 
 
 def conjugate_count(x: Element, ball: FdBall) -> int:
-    """Number of distinct conjugates f^{-1} x f over f in the ball."""
+    """Number of distinct conjugates f^{-1} x f over f in the ball.
+
+    x is expanded once per left tree of the ball (see fd_conjugates).
+    """
     if x.sys.name != ball.system.name:
         raise ValueError("element and ball live in different systems")
-    return len({f.inv() * x * f for f in ball.elements})
+    return len(set(fd_conjugates(x, ball.elements)))
 
 
 def normalizes_up_to(
@@ -335,11 +339,10 @@ def fpf_suite(
     g = nontrivial[0] if nontrivial else base.identity
     kernel_tuple = tuple(g for _ in range(nT))
     x = Element(system, T, kernel_tuple, T)
-    conjugates = []
-    for ell in range(1, 5):
-        m = (ell - 1) * nT + 1
-        f = powers_closed_form(system, T, 1, nT, m + 1)
-        conjugates.append(f.inv() * x * f)
+    conjugators = [
+        powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
+    ]
+    conjugates = list(fd_conjugates(x, conjugators))
     checks["conjugates_pairwise_distinct"] = len(set(conjugates)) == len(conjugates)
 
     uniform_counterexample = None

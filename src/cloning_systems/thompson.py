@@ -15,7 +15,7 @@ copy of the Higman-Thompson group F_d.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .cloning import CloningSystem, make_system
 from .groups import UnsupportedError, perm_apply, perm_inv
@@ -24,13 +24,16 @@ from .trees import (
     collapse_at,
     common_expansion,
     expand_at,
+    expansion_path,
     leaf,
     leaf_words,
     parse_tree,
     random_tree,
     removable_carets,
     right_spine,
+    transplant,
     tree_text,
+    tree_union,
 )
 
 
@@ -215,6 +218,34 @@ def mul(x: Element, y: Element) -> Element:
         ty = expand_left(ty, j)
     n = w.leaf_count
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)
+
+
+def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
+    """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products.
+
+    Once x is expanded to (T', g', U') with both trees dominating A, the
+    conjugate is [B * (T'/A), g', B * (U'/A)], where B * (S/A) is
+    transplant(S, A, B): expanding f needs no group arithmetic, because
+    clone(1) = 1 (axiom C1) and rho(1) = id.  The expansion depends only
+    on A, so it is made once per left tree and shared by every f with it.
+    """
+    system = x.sys
+    expanded: dict[Tree, Triple] = {}
+    for f in fs:
+        if f.sys.name != system.name:
+            raise SystemMismatch(f"cannot conjugate {system.name} by {f.sys.name}")
+        if not f.in_fd():
+            raise ValueError(f"conjugator {element_text(f)} is not in F_d")
+        A, B = f.T, f.U
+        t = expanded.get(A)
+        if t is None:
+            t = x.triple()
+            for k in expansion_path(t.U, tree_union(t.U, A)):
+                t = expand_triple(t, k)
+            for j in expansion_path(t.T, tree_union(t.T, A)):
+                t = expand_left(t, j)
+            expanded[A] = t
+        yield Element(system, transplant(t.T, A, B), t.g, transplant(t.U, A, B))
 
 
 def commutator(x: Element, y: Element) -> Element:

@@ -13,6 +13,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
+# deepest tree parse_tree accepts: tree walks recurse per level (tree_union
+# two frames a level), which must stay inside Python's default limit of 1000
+MAX_TREE_DEPTH = 400
+
 
 class Tree:
     __slots__ = ("d", "children", "leaf_count", "_hash")
@@ -70,37 +74,53 @@ def caret(d: int) -> Tree:
 
 
 def tree_text(t: Tree) -> str:
-    if t.is_leaf:
-        return "."
-    return "(" + "".join(tree_text(c) for c in t.children) + ")"
+    out: list[str] = []
+    todo: list = [t]  # trees still to write, and the ")" that closes each node
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.is_leaf:
+            out.append(".")
+        else:
+            out.append("(")
+            todo.append(")")
+            todo.extend(reversed(node.children))
+    return "".join(out)
 
 
 def parse_tree(text: str, d: int) -> Tree:
-    """Parse the preorder text form back into a Tree of arity d."""
-    pos = 0
+    """Parse the preorder text form back into a Tree of arity d.
 
-    def parse() -> Tree:
-        nonlocal pos
-        if pos >= len(text):
-            raise ValueError(f"unexpected end of tree text: {text!r}")
-        ch = text[pos]
-        if ch == ".":
-            pos += 1
-            return Tree(d)
+    Trees deeper than MAX_TREE_DEPTH are refused: most tree operations
+    recurse once per level.
+    """
+    open_nodes: list[list[Tree]] = []  # children read so far, per open "("
+    depth = 0
+    t = None
+    for ch in text:
+        if t is not None:
+            raise ValueError(f"trailing garbage in tree text {text!r}")
         if ch == "(":
-            pos += 1
-            kids = []
-            while pos < len(text) and text[pos] != ")":
-                kids.append(parse())
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-            return Tree(d, tuple(kids))
-        raise ValueError(f"unexpected character {ch!r} in tree text {text!r}")
-
-    t = parse()
-    if pos != len(text):
-        raise ValueError(f"trailing garbage in tree text {text!r}")
+            open_nodes.append([])
+            depth = max(depth, len(open_nodes))
+            continue
+        if ch == ".":
+            node = Tree(d)
+        elif ch == ")" and open_nodes:
+            node = Tree(d, tuple(open_nodes.pop()))
+        else:
+            raise ValueError(f"unexpected character {ch!r} in tree text {text!r}")
+        if open_nodes:
+            open_nodes[-1].append(node)
+        else:
+            t = node
+    if open_nodes:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    if t is None:
+        raise ValueError(f"unexpected end of tree text: {text!r}")
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"tree depth {depth} exceeds the cap of {MAX_TREE_DEPTH}")
     return t
 
 
@@ -305,6 +325,37 @@ def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:
         raise ValueError("arity mismatch")
     w = tree_union(t, u)
     return w, expansion_path(t, w), expansion_path(u, w)
+
+
+def transplant(s: Tree, a: Tree, b: Tree) -> Tree:
+    """Graft onto b's leaves, in leaf order, the forest that s hangs below a's.
+
+    s must dominate a, so s is a with a tree F_i glued at each leaf i; the
+    result is b with F_i glued at its leaf i.  a and b need the same leaf
+    count.  Replaying expansion_path(a, s) on b gives the same tree.
+    """
+    if not s.d == a.d == b.d:
+        raise ValueError("arity mismatch")
+    if a.leaf_count != b.leaf_count:
+        raise ValueError("leaf counts differ")
+    forest: list[Tree] = []
+    todo = [(s, a)]
+    while todo:
+        node, stem = todo.pop()
+        if stem.is_leaf:
+            forest.append(node)
+        elif node.is_leaf:
+            raise ValueError("the tree does not dominate the stem")
+        else:
+            todo += zip(node.children[::-1], stem.children[::-1])
+    grafts = iter(forest)
+
+    def glue(node: Tree) -> Tree:
+        if node.is_leaf:
+            return next(grafts)
+        return Tree(node.d, tuple(map(glue, node.children)))
+
+    return glue(b)
 
 
 def agree_away_from(

@@ -15,6 +15,7 @@ from cloning_systems.cli import (
     main,
     run,
 )
+from cloning_systems.trees import MAX_TREE_DEPTH
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,13 @@ def test_golden_reports_byte_identical(case):
     assert run(RunConfig(**case["config"])).to_json(include_runtime=False) == case["report"]
 
 
+def _left_comb_element(depth):
+    """[left comb ; (1 2) ; left comb] in V, both trees of the given depth."""
+    comb = "(" * depth + "." + ".)" * depth
+    middle = ",".join(map(str, [2, 1] + list(range(3, depth + 2))))
+    return f"[{comb} ; [{middle}] ; {comb}]"
+
+
 @pytest.mark.parametrize(
     "doc, argv",
     [
@@ -318,6 +326,11 @@ def test_golden_reports_byte_identical(case):
         (None, ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"]),
         (None, ["normalizer", "--system", "V", "--radius", "0", "--budget", "1"]),
         (None, ["fpf", "--system", "prod:Z3:id,inv", "--m", "0"]),
+        (
+            None,
+            ["conjugates", "--system", "V", "--radius", "1",
+             "--element", _left_comb_element(MAX_TREE_DEPTH + 1)],
+        ),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
@@ -327,7 +340,7 @@ def test_golden_reports_byte_identical(case):
         "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
         "normalizer-budget-zero", "normalizer-truncated-ball",
-        "normalizer-radius-zero", "fpf-m-zero",
+        "normalizer-radius-zero", "fpf-m-zero", "element-deeper-than-cap",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
@@ -340,6 +353,17 @@ def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_element_at_the_depth_cap_completes(capsys):
+    code, out, err = run_cli(
+        capsys, "conjugates", "--system", "V", "--radius", "3",
+        "--element", _left_comb_element(MAX_TREE_DEPTH),
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["witnesses"] == [_left_comb_element(MAX_TREE_DEPTH)]
+    assert len(report["series"]["element_0"]) == 3
 
 
 def test_truncated_ball_exits_two_naming_radius_and_cap(capsys):

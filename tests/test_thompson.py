@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cloning_systems.analysis import sample_nontrivial_elements
+from cloning_systems.analysis import enumerate_fd_ball, sample_nontrivial_elements
 from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
 from cloning_systems.groups import (
     UnsupportedError,
@@ -20,6 +20,7 @@ from cloning_systems.thompson import (
     endpoint_slope_character,
     expand_left,
     expand_triple,
+    fd_conjugates,
     fd_generator,
     in_kernel_Kd,
     mul,
@@ -40,6 +41,9 @@ from cloning_systems.trees import (
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 V = make_system("V")
+TERNARY_SYSTEM_KEYS = (
+    "V:3", "T:3", "Vhat:3", "F:3", "prod:Z3:id,id,inv", "psi:Z3:id,inv,id",
+)
 
 
 def test_triple_validation():
@@ -248,6 +252,41 @@ def test_equality_iff_quotient_is_identity():
 def test_system_mismatch_raises():
     with pytest.raises(SystemMismatch):
         mul(Element.identity(V), Element.identity(make_system("T")))
+
+
+def _conjugate_oracle(x, f):
+    return f.inv() * x * f
+
+
+@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+def test_fd_conjugates_match_two_products(key):
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2)
+    assert not ball.truncated
+    rng = random.Random(47)
+    xs = [random_element(system, rng, max_carets=4) for _ in range(32)]
+    xs += rng.sample(enumerate_fd_ball(system, 4 if system.d == 2 else 3).elements, 8)
+    assert any(x.in_fd() for x in xs)
+    if not key.startswith("F"):
+        assert any(not x.in_fd() for x in xs)
+    for x in xs:
+        got = list(fd_conjugates(x, ball.elements))
+        assert got == [_conjugate_oracle(x, f) for f in ball.elements]
+    # conjugators in any order, repeated, and off the ball
+    fs = [fd_generator(system, i) for i in range(4)] + list(ball.elements[::-1])
+    fs += [fs[0] * fs[1].inv(), fs[2] ** 3, fs[0]]
+    for x in xs[:4]:
+        assert list(fd_conjugates(x, fs)) == [_conjugate_oracle(x, f) for f in fs]
+
+
+def test_fd_conjugates_reject_conjugators_outside_fd():
+    x = fd_generator(V, 0)
+    swap = Element(V, caret(2), cycle_perm(2, (1, 2)), caret(2))
+    with pytest.raises(ValueError, match="not in F_d") as exc:
+        list(fd_conjugates(x, [fd_generator(V, 1), swap]))
+    assert not isinstance(exc.value, SystemMismatch)
+    with pytest.raises(SystemMismatch):
+        list(fd_conjugates(x, [fd_generator(make_system("T"), 1)]))
 
 
 def test_in_fd_examples():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cloning_systems.trees import (
+    MAX_TREE_DEPTH,
     Tree,
     agree_away_from,
     caret,
@@ -21,6 +22,7 @@ from cloning_systems.trees import (
     random_tree,
     removable_carets,
     right_spine,
+    transplant,
     tree_text,
     tree_union,
     trees_with_carets,
@@ -299,6 +301,55 @@ def test_parse_rejects_garbage():
     for bad in ["", "(", "(.)", "(...))", "(..)x"]:
         with pytest.raises(ValueError):
             parse_tree(bad, 2)
+
+
+def _left_comb_text(depth):
+    return "(" * depth + "." + ".)" * depth
+
+
+def test_parse_is_iterative_and_caps_the_depth():
+    at_cap = parse_tree(_left_comb_text(MAX_TREE_DEPTH), 2)
+    assert at_cap.leaf_count == MAX_TREE_DEPTH + 1
+    assert leaf_word(at_cap, 1) == (1,) * MAX_TREE_DEPTH
+    assert tree_text(at_cap) == _left_comb_text(MAX_TREE_DEPTH)
+    # far past the recursion limit: refused by the cap, not by a RecursionError
+    for depth in (MAX_TREE_DEPTH + 1, 5000):
+        with pytest.raises(ValueError) as exc:
+            parse_tree(_left_comb_text(depth), 2)
+        assert str(exc.value) == f"tree depth {depth} exceeds the cap of {MAX_TREE_DEPTH}"
+
+
+def _replayed_transplant(s, a, b):
+    """Reference: replay the expansions that carry a onto s, on b."""
+    for k in expansion_path(a, s):
+        b = expand_at(b, k)
+    return b
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_transplant_matches_expansion_replay(d):
+    rng = random.Random(200 + d)
+    for _ in range(1000):
+        c = rng.randint(0, 5)
+        a, b = random_tree(d, c, rng), random_tree(d, c, rng)
+        s = a
+        for _ in range(rng.randint(0, 6)):
+            s = expand_at(s, rng.randint(1, s.leaf_count))
+        s = tree_union(s, random_tree(d, rng.randint(0, 3), rng))
+        assert transplant(s, a, b) == _replayed_transplant(s, a, b)
+        assert transplant(s, a, a) == s
+        other = random_tree(d, rng.randint(0, 5), rng)
+        if not dominates(other, a):
+            with pytest.raises(ValueError, match="does not dominate"):
+                transplant(other, a, b)
+        if other.leaf_count != a.leaf_count:
+            with pytest.raises(ValueError, match="leaf counts differ"):
+                transplant(s, a, other)
+
+
+def test_transplant_rejects_other_arity():
+    with pytest.raises(ValueError, match="arity"):
+        transplant(caret(2), leaf(2), leaf(3))
 
 
 def test_arity_checks():
