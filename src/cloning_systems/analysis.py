@@ -289,6 +289,8 @@ def fpf_suite(
     else:
         pool = list(elems)
         report.evidence = EVIDENCE_EXHAUSTIVE
+    if all(g == base.identity for g in pool):
+        raise ValueError("fpf needs a base group with a nontrivial element")
 
     premises = {
         "premise_involution": lambda g: phi.apply(phi.apply(g)) == g,

@@ -253,6 +253,11 @@ def run_mixing(system, params: dict, seed: int) -> ExperimentReport:
             if cand != identity and perm_apply(system.rho(n, cand), pos) == pos:
                 g = cand
                 break
+    if g == system.family.identity(R.leaf_count):
+        raise ConfigError(
+            "the middle is the identity, so mixing at leaf word "
+            f"{''.join(map(str, v))} checks nothing; give a nontrivial --middle"
+        )
     # default grafts: one caret hung on the first vs the last leaf of a caret
     if params["graft_a"]:
         graft_a = parse_tree(params["graft_a"], d)

@@ -50,43 +50,29 @@ def standard_symmetric_clone(
     if not 1 <= k <= n:
         raise IndexError(f"clone position {k} out of range 1..{n}")
     pk = p[k - 1]
-    images = []
-    for j in range(1, n + d):
-        if k <= j <= k + d - 1:
-            images.append(pk + (j - k))
-            continue
-        i = j if j < k else j - (d - 1)
-        si = p[i - 1]
-        images.append(si if si < pk else si + d - 1)
+    images = [s if s < pk else s + d - 1 for s in p]
+    images[k - 1 : k] = range(pk, pk + d)
     return tuple(images)
 
 
 def try_symmetric_unclone(
     pp: tuple[int, ...], k: int, d: int
 ) -> Optional[tuple[int, ...]]:
-    """Collapse d parallel arrows at block k, or None if no preimage exists."""
-    big = len(pp)
-    n = big - (d - 1)
-    if n < 1 or not 1 <= k <= n:
+    """Collapse d parallel arrows at block k, or None if no preimage exists.
+
+    pp must be a permutation (every caller passes an element of G_{n+d-1}),
+    so block k..k+d-1 mapping in order onto pp(k)..pp(k)+d-1 is the whole test.
+    """
+    n = len(pp) - (d - 1)
+    if not 1 <= k <= n:
         return None
     pk = pp[k - 1]
-    if pk + d - 1 > big:
-        return None
-    for i in range(d):
+    for i in range(1, d):
         if pp[k - 1 + i] != pk + i:
             return None
-    images = []
-    for i in range(1, n + 1):
-        j = i if i < k else i + (d - 1)
-        if i == k:
-            images.append(pk)
-            continue
-        s = pp[j - 1]
-        images.append(s if s < pk else s - (d - 1))
-    candidate = tuple(images)
-    if standard_symmetric_clone(candidate, k, d) != pp:
-        return None
-    return candidate
+    images = [s if s <= pk else s - (d - 1) for s in pp]
+    del images[k : k + d - 1]
+    return tuple(images)
 
 
 class CloningSystem:
@@ -108,7 +94,7 @@ class CloningSystem:
         raise NotImplementedError
 
     def try_unclone(self, n: int, k: int, gp):
-        """Preimage of gp under clone(n, k, .), or None."""
+        """Preimage of gp under clone(n, k, .), or None; gp lies in G_{n+d-1}."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -132,6 +118,8 @@ class SymmetricSystem(CloningSystem):
     def __init__(self, kind: str, d: int = 2):
         if kind not in self._FAMILIES:
             raise ValueError(f"unknown symmetric system kind {kind!r}")
+        if d < 2:
+            raise ValueError(f"arity must be >= 2, got {d}")
         self.kind = kind
         self.d = d
         self.family = self._FAMILIES[kind]()
@@ -150,10 +138,10 @@ class SymmetricSystem(CloningSystem):
         return standard_symmetric_clone(g, k, self.d)
 
     def try_unclone(self, n, k, gp):
-        candidate = try_symmetric_unclone(gp, k, self.d)
-        if candidate is None or not self.family.contains(n, candidate):
-            return None
-        return candidate
+        # each family is closed under uncloning: a rotation whose block maps
+        # onto a block collapses to a rotation, the last point stays last,
+        # and the identity unclones to the identity
+        return try_symmetric_unclone(gp, k, self.d)
 
 
 class ProductSystem(CloningSystem):
@@ -208,10 +196,8 @@ class ProductSystem(CloningSystem):
             return None
         if any(m.apply(x) != b for m, b in zip(self.monos, block)):
             return None
-        candidate = gp[: k - 1] + (x,) + gp[k - 1 + self.d :]
-        if not self.family.contains(n, candidate):
-            return None
-        return candidate
+        # x is a monomorphism preimage, so a psi coordinate 1 stays 1
+        return gp[: k - 1] + (x,) + gp[k - 1 + self.d :]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +461,9 @@ def probe_property(
 # ---------------------------------------------------------------------------
 
 def image_membership(system: CloningSystem, n: int, k: int, x) -> bool:
-    """Exact test for x in the image of clone(n, k, .)."""
-    return system.try_unclone(n, k, x) is not None
+    """Exact test for x in the image of clone(n, k, .), for any value x."""
+    in_group = system.family.contains(n + system.d - 1, x)  # try_unclone assumes it
+    return in_group and system.try_unclone(n, k, x) is not None
 
 
 def _pattern_candidates(system: CloningSystem, n: int, rng, budget: int):
@@ -537,7 +524,7 @@ def diversity_witness(
     for x in _pattern_candidates(system, n, rng, budget):
         if x != identity and x not in seen:
             seen.add(x)
-            if fam.contains(big, x) and in_all_images(x):
+            if in_all_images(x):
                 return {"witness": x, "exhaustive": False}
     for _ in range(budget):
         x = fam.sample(big, rng)

@@ -354,17 +354,12 @@ class CyclicShiftFamily(PermutationFamily):
     name = "C"
 
     @staticmethod
-    def _shift(n: int) -> tuple[int, ...]:
-        return tuple(range(2, n + 1)) + (1,)
+    def _rotation(n: int, j: int) -> tuple[int, ...]:
+        """The rotation i -> i + j (mod n), for 0 <= j < n."""
+        return (*range(j + 1, n + 1), *range(1, j + 1))
 
     def enumerate(self, n):
-        out = []
-        p = perm_identity(n)
-        c = self._shift(n)
-        for _ in range(n):
-            out.append(p)
-            p = perm_mul(p, c)
-        return tuple(out)
+        return tuple(self._rotation(n, j) for j in range(n))
 
     def contains(self, n, g):
         # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
@@ -373,7 +368,7 @@ class CyclicShiftFamily(PermutationFamily):
         )
 
     def sample(self, n, rng):
-        return self.enumerate(n)[rng.randrange(n)]
+        return self._rotation(n, rng.randrange(n))
 
 
 class StabilizerFamily(PermutationFamily):
@@ -466,15 +461,7 @@ class PsiFamily(ProductFamily):
         return super().contains(n, g) and g[0] == self.base.identity
 
     def sample(self, n, rng):
-        return (self.base.identity,) + tuple(
-            self.base.sample(rng) for _ in range(n - 1)
-        )
+        return (self.base.identity,) + super().sample(n - 1, rng)
 
     def enumerate(self, n):
-        elems = self.base.elements()
-        if elems is None:
-            raise UnsupportedError(f"{self.name} is infinite")
-        return tuple(
-            (self.base.identity,) + rest
-            for rest in _itertools_product(elems, repeat=n - 1)
-        )
+        return tuple((self.base.identity,) + rest for rest in super().enumerate(n - 1))

@@ -331,6 +331,9 @@ def _left_comb_element(depth):
             ["conjugates", "--system", "V", "--radius", "1",
              "--element", _left_comb_element(MAX_TREE_DEPTH + 1)],
         ),
+        (None, ["verify-axioms", "--system", "V:1"]),
+        (None, ["mixing", "--system", "T"]),
+        (None, ["mixing", "--system", "V", "--middle", "[1,2,3]"]),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
@@ -341,6 +344,8 @@ def _left_comb_element(depth):
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
         "normalizer-budget-zero", "normalizer-truncated-ball",
         "normalizer-radius-zero", "fpf-m-zero", "element-deeper-than-cap",
+        "verify-axioms-arity-one", "mixing-no-nontrivial-middle",
+        "mixing-identity-middle",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):
@@ -415,7 +420,9 @@ def test_config_loader_raises_only_config_error(tmp_path, doc, command):
         pass
 
 
-SWEEP_SYSTEMS = ["V", "T", "prod:Z3:id,id", "prod:Z3:id,inv", "psi:F2:id,swap"]
+SWEEP_SYSTEMS = [
+    "V", "T", "prod:Z3:id,id", "prod:Z3:id,inv", "psi:F2:id,swap", "prod:Z1:id,id"
+]
 
 
 def _sweep_argv(name, system, value):

@@ -1,9 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from cloning_systems.cloning import (
     BUILTIN_SYSTEM_KEYS,
+    ProductSystem,
     SymmetricSystem,
     check_axiom,
     diversity_witness,
@@ -68,12 +70,133 @@ def test_symmetric_unclone_rejects_non_image():
     assert try_symmetric_unclone(cycle_perm(3, (1, 3, 2)), 2, 2) == cycle_perm(2, (1, 2))
 
 
+def _loop_symmetric_clone(p, k, d):
+    """Oracle: the clone built point by point over the n + d - 1 positions."""
+    n = len(p)
+    if not 1 <= k <= n:
+        raise IndexError(f"clone position {k} out of range 1..{n}")
+    pk = p[k - 1]
+    images = []
+    for j in range(1, n + d):
+        if k <= j <= k + d - 1:
+            images.append(pk + (j - k))
+            continue
+        i = j if j < k else j - (d - 1)
+        si = p[i - 1]
+        images.append(si if si < pk else si + d - 1)
+    return tuple(images)
+
+
+def _recloning_symmetric_unclone(pp, k, d):
+    """Oracle: collapse block k point by point, then keep it only if it clones back."""
+    big = len(pp)
+    n = big - (d - 1)
+    if n < 1 or not 1 <= k <= n:
+        return None
+    pk = pp[k - 1]
+    if pk + d - 1 > big:
+        return None
+    for i in range(d):
+        if pp[k - 1 + i] != pk + i:
+            return None
+    images = []
+    for i in range(1, n + 1):
+        j = i if i < k else i + (d - 1)
+        if i == k:
+            images.append(pk)
+            continue
+        s = pp[j - 1]
+        images.append(s if s < pk else s - (d - 1))
+    candidate = tuple(images)
+    if _loop_symmetric_clone(candidate, k, d) != pp:
+        return None
+    return candidate
+
+
+def _checked_unclone_oracle(system, n, k, gp):
+    """Oracle: the preimage under clone(n, k, .), re-checked for membership in G_n."""
+    if isinstance(system, ProductSystem):
+        if len(gp) != n + system.d - 1 or not 1 <= k <= n:
+            return None
+        block = gp[k - 1 : k - 1 + system.d]
+        x = system.monos[0].try_preimage(block[0])
+        if x is None or any(m.apply(x) != b for m, b in zip(system.monos, block)):
+            return None
+        candidate = gp[: k - 1] + (x,) + gp[k - 1 + system.d :]
+    else:
+        candidate = _recloning_symmetric_unclone(gp, k, system.d)
+    if candidate is None or not system.family.contains(n, candidate):
+        return None
+    return candidate
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symmetric_clone_and_unclone_match_the_loop_oracles(d):
+    for big in range(1, 7):
+        for p in permutations(range(1, big + 1)):
+            for k in range(0, big + 2):
+                try:
+                    expected = _loop_symmetric_clone(p, k, d)
+                except IndexError:
+                    with pytest.raises(IndexError):
+                        standard_symmetric_clone(p, k, d)
+                else:
+                    assert standard_symmetric_clone(p, k, d) == expected
+                assert try_symmetric_unclone(p, k, d) == _recloning_symmetric_unclone(
+                    p, k, d
+                )
+
+
+def _assert_unclone_matches_oracle(system, n, k, gp):
+    got = system.try_unclone(n, k, gp)
+    expected = _checked_unclone_oracle(system, n, k, gp)
+    assert (got is None) == (expected is None), (n, k, gp)
+    if got is not None:
+        assert got == expected
+        assert system.family.contains(n, got)
+        assert system.clone(n, k, got) == gp
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        f"{kind}:{d}" for d in (2, 3, 4) for kind in ("V", "T", "F", "Vhat")
+    ] + [
+        "prod:Z3:id,id", "prod:Z3:id,inv", "psi:Z3:id,id", "psi:Z3:inv,id",
+        "prod:Z3:id,inv,id", "psi:Z3:id,id,inv",
+    ],
+)
+def test_unclone_matches_the_checked_oracle_on_whole_levels(key):
+    system = make_system(key)
+    for big in range(system.d, 8):
+        n = big - system.d + 1
+        for gp in system.family.enumerate(big):
+            for k in range(0, n + 2):
+                _assert_unclone_matches_oracle(system, n, k, gp)
+
+
+@pytest.mark.parametrize("key", ["prod:F2:id,swap", "psi:F2:id,swap", "psi:F2:swap,id"])
+def test_unclone_matches_the_checked_oracle_on_free_samples(key):
+    system = make_system(key)
+    rng = random.Random(11)
+    for _ in range(20000):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n + 1)
+        if rng.random() < 0.5:
+            gp = system.clone(n, rng.randint(1, n), system.family.sample(n, rng))
+        else:
+            gp = system.family.sample(n + system.d - 1, rng)
+        _assert_unclone_matches_oracle(system, n, k, gp)
+
+
 def test_registry_keys():
     assert make_system("V").d == 2
     assert make_system("V:3").d == 3
     assert make_system("psi:Z3:id,id").psi
     assert make_system("prod:F2:id,swap").d == 2
-    for bad in ("NOPE", "V:x", "prod:Z3", "prod:Q8:id,id", "psi:Z3:id"):
+    for bad in (
+        "NOPE", "V:x", "prod:Z3", "prod:Q8:id,id", "psi:Z3:id", "V:0", "V:1", "Vhat:1"
+    ):
         with pytest.raises(ValueError):
             make_system(bad)
 
@@ -254,6 +377,14 @@ def test_image_membership_psi_block_violation():
     # independent oracle: slot-1 clones of the level-3 subgroup never hit x
     level3 = psi.family.enumerate(3)
     assert x not in {psi.clone(3, 1, g) for g in level3}
+
+
+def test_image_membership_rejects_values_outside_the_family():
+    # each collapses to a tuple at block k, but none lies in G_{n+d-1}
+    assert not image_membership(make_system("T"), 3, 1, (1, 2, 4, 3))
+    assert not image_membership(make_system("Vhat"), 3, 1, (1, 2, 4, 3))
+    assert not image_membership(make_system("psi:Z3:id,id"), 3, 2, (1, 0, 0, 0))
+    assert not image_membership(make_system("V"), 3, 1, (1, 2, 3))
 
 
 def test_diversity_exhaustive_v2():

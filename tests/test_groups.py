@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +103,47 @@ def test_cyclic_shift_membership_matches_enumeration():
             assert not fam.contains(n, g)
         # agrees with the identity shift everywhere but at the last point
         assert not fam.contains(n, perm_identity(n - 1) + (n + 1,))
+
+
+def _rotations_by_products(n):
+    """Oracle: the powers of the n-cycle (1 2 ... n), by repeated products."""
+    out = []
+    p = perm_identity(n)
+    c = tuple(range(2, n + 1)) + (1,)
+    for _ in range(n):
+        out.append(p)
+        p = perm_mul(p, c)
+    return tuple(out)
+
+
+def test_cyclic_shifts_match_the_product_oracle():
+    fam = CyclicShiftFamily()
+    for n in range(1, 9):
+        oracle = _rotations_by_products(n)
+        assert fam.enumerate(n) == oracle
+        rng, oracle_rng = random.Random(n), random.Random(n)
+        for _ in range(50):
+            assert fam.sample(n, rng) == oracle[oracle_rng.randrange(n)]
+
+
+def test_psi_family_matches_its_product_formula():
+    for base in (CyclicGroup(3), CyclicGroup(2)):
+        fam = PsiFamily(base)
+        for n in range(1, 6):
+            assert fam.enumerate(n) == tuple(
+                (0,) + rest for rest in product(base.elements(), repeat=n - 1)
+            )
+    for base in (CyclicGroup(3), FreeGroupAB()):
+        fam = PsiFamily(base)
+        rng, oracle_rng = random.Random(4), random.Random(4)
+        for n in range(1, 7):
+            for _ in range(20):
+                expected = (base.identity,) + tuple(
+                    base.sample(oracle_rng) for _ in range(n - 1)
+                )
+                assert fam.sample(n, rng) == expected
+    with pytest.raises(UnsupportedError):
+        PsiFamily(FreeGroupAB()).enumerate(2)
 
 
 def test_free_reduce_examples():
