@@ -26,6 +26,7 @@ from .thompson import (
     random_element,
 )
 from .trees import (
+    MAX_TREE_DEPTH,
     Tree,
     expand_at,
     graft,
@@ -276,6 +277,16 @@ def fpf_suite(
         raise ValueError("n must be >= 1")
     if m_max < 1:
         raise ValueError("m must be >= 1")
+    # T below is the right spine on nT leaves, and powers_closed_form(system,
+    # T, 1, nT, k) reduces to trees of depth k + 1; the deepest trees built
+    # are the ell = 4 conjugator, k = 3 nT + 2, and the (m_max + 1)-th power
+    nT = max(n, 2)
+    for name, value, depth in (("n", n, 3 * nT + 3), ("m", m_max, m_max + 2)):
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(
+                f"{name} = {value} builds trees of depth {depth}, "
+                f"past the cap of {MAX_TREE_DEPTH}"
+            )
     rng = random.Random(seed)
     system = ProductSystem(base, (identity_mono(), phi))
     params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
@@ -324,8 +335,7 @@ def fpf_suite(
             system.family.to_text(n + 1, _fpf_pattern(base, phi, nontrivial[0], n + 1))
         )
 
-    T = right_spine(2, max(n - 1, 1))
-    nT = T.leaf_count
+    T = right_spine(2, nT - 1)
     base_pair = Element(
         system,
         expand_at(T, 1),

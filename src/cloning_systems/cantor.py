@@ -178,7 +178,7 @@ class AutomatonElement:
     explores the finitely many reachable section words exactly.
     """
 
-    __slots__ = ("d", "word", "_hash")
+    __slots__ = ("d", "word")
 
     def __init__(self, d: int, word: Iterable[Entry] = ()):
         simplified: list[Entry] = []
@@ -196,11 +196,6 @@ class AutomatonElement:
             simplified.append((machine, name, sign))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "word", tuple(simplified))
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((d, tuple((hash(m), n, s) for m, n, s in self.word))),
-        )
 
     def __setattr__(self, name, value):
         raise AttributeError("AutomatonElement is immutable")
@@ -254,7 +249,7 @@ class AutomatonElement:
         return self.d == other.d and self.word == other.word
 
     def __hash__(self):
-        return self._hash
+        return hash((self.d, self.word))
 
     def is_identity(self, max_nodes: int = 100000) -> bool:
         """Exact identity test by exploring all reachable sections."""
@@ -317,7 +312,7 @@ def _is_complete_prefix_code(words: Iterable[Word], d: int) -> bool:
     (sum of d^-|w|) is 1.
     """
     words = sorted(words)
-    if any(a not in range(1, d + 1) for w in words for a in w):
+    if not set().union(*words) <= set(range(1, d + 1)):
         return False
     if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
         return False
@@ -372,6 +367,9 @@ class PrefixMap:
 
     def apply(self, point: CantorWord) -> CantorWord:
         """Image of an eventually periodic point; exact via cycle detection."""
+        bad = [a for a in point.pre + point.per if a > self.d]
+        if bad:
+            raise ValueError(f"letter {bad[0]} out of range 1..{self.d}")
         depth = max(len(u) for u, _, _ in self.rules)
         dom, rng, state = self.rule_at(point.prefix(depth))
         tail = point.drop(len(dom))
@@ -427,7 +425,7 @@ class PrefixMap:
 
     def normalize(self) -> "PrefixMap":
         """Canonical table: merge sibling rules that expand a single rule."""
-        return PrefixMap(self.d, _normalize_rules(list(self.rules), self.d))
+        return PrefixMap(self.d, _normalize_rules(self.rules, self.d))
 
     def equals(self, other: "PrefixMap") -> bool:
         """Semantic equality: same action on every point.
@@ -458,66 +456,50 @@ class PrefixMap:
         return f"PrefixMap({rule_table_text(self)!r})"
 
 
-def _normalize_rules(rules: list[Rule], d: int) -> list[Rule]:
+def _normalize_rules(rules: Iterable[Rule], d: int) -> list[Rule]:
     """Merge sibling rules that are the entry-expansion of a single rule.
 
     Candidates for the merged state are the identity and the signed single
     states occurring in the sibling rules; this recovers canonical tables
-    after compose/invert without searching arbitrary products.
+    after compose/invert without searching arbitrary products.  A merge
+    deletes only its own d siblings and adds one rule, which can complete
+    no group but its parent's, so merges never block one another and one
+    worklist pass reaches the fixed point, whatever the order.
     """
-    rules = sorted(rules, key=lambda r: r[0])
-    changed = True
-    while changed:
-        changed = False
-        by_parent: dict[Word, list[Rule]] = {}
-        for rule in rules:
-            if rule[0]:
-                by_parent.setdefault(rule[0][:-1], []).append(rule)
-        for parent, group in by_parent.items():
-            if len(group) != d:
-                continue
-            group = sorted(group, key=lambda r: r[0])
-            if [r[0][-1] for r in group] != list(range(1, d + 1)):
-                continue
-            if any(not r[1] for r in group):
-                continue
-            v = group[0][1][:-1]
-            if any(r[1][:-1] != v for r in group):
-                continue
-            last = [r[1][-1] for r in group]
-            merged = _try_merge(group, v, last, d)
-            if merged is not None:
-                rules = [r for r in rules if not (r[0] and r[0][:-1] == parent)]
-                rules.append((parent, v, merged))
-                rules.sort(key=lambda r: r[0])
-                changed = True
-                break
-    return rules
+    table = {u: (v, s) for u, v, s in rules}
+    todo = {u[:-1] for u in table if u}
+    while todo:
+        parent = todo.pop()
+        children = [parent + (a,) for a in range(1, d + 1)]
+        if not all(c in table for c in children):
+            continue
+        group = [table[c] for c in children]
+        v = group[0][0][:-1]
+        if any(not w or w[:-1] != v for w, _ in group):
+            continue
+        merged = _try_merge([s for _, s in group], tuple(w[-1] for w, _ in group), d)
+        if merged is not None:
+            for c in children:
+                del table[c]
+            table[parent] = (v, merged)
+            if parent:
+                todo.add(parent[:-1])
+    return [(u, v, s) for u, (v, s) in table.items()]
 
 
 def _try_merge(
-    group: list[Rule], v: Word, last: list[int], d: int
+    states: list[AutomatonElement], last: tuple[int, ...], d: int
 ) -> Optional[AutomatonElement]:
-    ident = identity_element(d)
-    candidates: list[AutomatonElement] = [ident]
-    seen_entries = set()
-    for _, _, s in group:
-        for machine, name, _ in s.word:
-            if (id(machine), name) not in seen_entries:
-                seen_entries.add((id(machine), name))
-                candidates.append(AutomatonElement(d, ((machine, name, 1),)))
-                candidates.append(AutomatonElement(d, ((machine, name, -1),)))
-    for cand in candidates:
-        if cand.root_perm() != tuple(last):
-            continue
-        ok = True
-        for a, (_, _, s_a) in enumerate(group, start=1):
-            _, section = cand.step(a)
-            if not section.equals(s_a):
-                ok = False
-                break
-        if ok:
-            return cand
+    """The first candidate with root permutation last and sections equal to states."""
+    entries = {(id(m), n): (m, n) for s in states for m, n, _ in s.word}
+    candidates = [identity_element(d)] + [
+        AutomatonElement(d, ((*e, sign),)) for e in entries.values() for sign in (1, -1)
+    ]
+    for c in candidates:
+        if c.root_perm() == last and all(
+            c.step(a)[1].equals(s) for a, s in enumerate(states, start=1)
+        ):
+            return c
     return None
 
 
@@ -553,7 +535,10 @@ def from_tree_pair(x: Element) -> PrefixMap:
     rules = [
         (dom[i - 1], rng[perm_apply(sigma, i) - 1], ident) for i in range(1, x.n + 1)
     ]
-    return PrefixMap(d, _normalize_rules(rules, d))
+    # Already normal: with trivial states only d sibling leaves of U sent in
+    # order onto d sibling leaves of T could merge, and that is an in-order
+    # block reduce_triple would have collapsed, since an Element is reduced.
+    return PrefixMap(d, rules)
 
 
 def is_order_preserving(f: PrefixMap) -> bool:

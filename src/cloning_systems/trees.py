@@ -47,17 +47,19 @@ class Tree:
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        if (
-            self.d != other.d
-            or self.leaf_count != other.leaf_count
-            or self._hash != other._hash
-        ):
-            return False
-        return self.children == other.children
+        # an explicit stack: comparing children tuples recurses once per level,
+        # which overflows on equal trees well short of MAX_TREE_DEPTH
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.d != b.d or a.leaf_count != b.leaf_count or a._hash != b._hash:
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self):
         return f"Tree({self.d}, {tree_text(self)!r})"

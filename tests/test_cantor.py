@@ -4,13 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from cloning_systems.analysis import sample_nontrivial_elements
+from cloning_systems.analysis import enumerate_system_ball, sample_nontrivial_elements
 from cloning_systems.cantor import (
     Automaton,
     AutomatonElement,
     CantorWord,
     PrefixMap,
     _is_complete_prefix_code,
+    _normalize_rules,
     cantor_word_text,
     from_tree_pair,
     full_reflection,
@@ -27,6 +28,8 @@ from cloning_systems.thompson import Element, fd_generator, random_element
 from cloning_systems.trees import caret
 
 V = make_system("V")
+# the systems whose middles permute leaves, so from_tree_pair applies
+PERMUTATION_KEYS = ("F", "T", "V", "Vhat", "F:3", "T:3", "V:3", "Vhat:3")
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +193,32 @@ def test_from_tree_pair_needs_permutation_middles():
         from_tree_pair(Element.identity(system))
 
 
-def test_compose_then_invert_is_identity():
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_compose_then_invert_is_identity(key):
+    system = make_system(key)
     rng = random.Random(3)
     for _ in range(60):
-        x = random_element(V, rng)
+        x = random_element(system, rng)
         f = from_tree_pair(x)
         assert f.compose(f.invert()).is_identity()
         assert f.invert().compose(f).is_identity()
 
 
-def test_compose_matches_tree_pair_multiplication():
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_compose_matches_tree_pair_multiplication(key):
+    system = make_system(key)
     rng = random.Random(5)
     for _ in range(300):
-        x, y = random_element(V, rng), random_element(V, rng)
+        x, y = random_element(system, rng), random_element(system, rng)
         assert from_tree_pair(x * y).equals(from_tree_pair(x).compose(from_tree_pair(y)))
 
 
-def test_invert_matches_tree_pair_inverse():
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_invert_matches_tree_pair_inverse(key):
+    system = make_system(key)
     rng = random.Random(7)
     for _ in range(100):
-        x = random_element(V, rng)
+        x = random_element(system, rng)
         assert from_tree_pair(x.inv()).equals(from_tree_pair(x).invert())
 
 
@@ -300,6 +309,14 @@ def test_reflection_conjugates_fd_to_order_preserving():
             continue
         conj = h.invert().compose(from_tree_pair(x)).compose(h)
         assert is_order_preserving(conj)
+
+
+def test_apply_rejects_letters_outside_the_alphabet():
+    f = from_tree_pair(fd_generator(V, 0))
+    # "(3)" matches no domain word; "22(13)" matches the rule at 22 first
+    for text in ("(3)", "1(3)", "22(13)"):
+        with pytest.raises(ValueError, match=r"^letter 3 out of range 1\.\.2$"):
+            f.apply(parse_cantor_word(text))
 
 
 def test_prefix_map_equality_distinguishes():
@@ -448,3 +465,110 @@ def test_rule_at_matches_linear_scan(key):
         if shortest:
             for word in _words_up_to(f.d, shortest - 1):
                 assert f.rule_at(word) is None
+
+
+def _reference_normalize_rules(rules, d):
+    """Merge the first mergeable sibling group in domain order, then start
+    again from scratch, until no group merges."""
+    rules = sorted(rules, key=lambda r: r[0])
+    changed = True
+    while changed:
+        changed = False
+        by_parent = {}
+        for rule in rules:
+            if rule[0]:
+                by_parent.setdefault(rule[0][:-1], []).append(rule)
+        for parent, group in by_parent.items():
+            if len(group) != d:
+                continue
+            group = sorted(group, key=lambda r: r[0])
+            if [r[0][-1] for r in group] != list(range(1, d + 1)):
+                continue
+            if any(not r[1] for r in group):
+                continue
+            v = group[0][1][:-1]
+            if any(r[1][:-1] != v for r in group):
+                continue
+            last = [r[1][-1] for r in group]
+            merged = _reference_try_merge(group, last, d)
+            if merged is not None:
+                rules = [r for r in rules if not (r[0] and r[0][:-1] == parent)]
+                rules.append((parent, v, merged))
+                rules.sort(key=lambda r: r[0])
+                changed = True
+                break
+    return rules
+
+
+def _reference_try_merge(group, last, d):
+    """Try the identity, then each signed single state of the group."""
+    candidates = [identity_element(d)]
+    seen_entries = set()
+    for _, _, s in group:
+        for machine, name, _ in s.word:
+            if (id(machine), name) not in seen_entries:
+                seen_entries.add((id(machine), name))
+                candidates.append(AutomatonElement(d, ((machine, name, 1),)))
+                candidates.append(AutomatonElement(d, ((machine, name, -1),)))
+    for cand in candidates:
+        if cand.root_perm() != tuple(last):
+            continue
+        if all(cand.step(a)[1].equals(s_a) for a, (_, _, s_a) in enumerate(group, 1)):
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("key", ["V", "T", "Vhat", "F", "V:3", "T:3", "Vhat:3"])
+def test_normalize_matches_restarting_loop(key):
+    rng = random.Random(29)
+    h = _reflection_map(make_system(key).d)
+    merges = 0
+    for f in _random_tables(key, rng, 20):
+        for table in (f, h.compose(f)):
+            for _ in range(rng.randint(1, 12)):
+                table = _split_rule(table, rng.randrange(len(table.rules)))
+            rules = list(table.rules)
+            rng.shuffle(rules)
+            expected = _reference_normalize_rules(rules, table.d)
+            assert sorted(_normalize_rules(rules, table.d)) == expected
+            merges += len(rules) - len(expected)
+    assert merges >= 100
+
+
+@pytest.mark.parametrize(
+    "key, radius", [("F", 3), ("T", 3), ("V", 3), ("Vhat", 3),
+                    ("F:3", 2), ("T:3", 2), ("V:3", 2), ("Vhat:3", 2)],
+)
+def test_tree_pair_tables_are_already_normal(key, radius):
+    system = make_system(key)
+    rng = random.Random(31)
+    ball = enumerate_system_ball(system, radius)
+    for x in ball + [random_element(system, rng) for _ in range(100)]:
+        rules = from_tree_pair(x).rules
+        assert PrefixMap(system.d, _reference_normalize_rules(rules, system.d)).rules == rules
+
+
+def _per_letter_is_complete_prefix_code(words, d):
+    """Check each letter of each word, then split by first letter."""
+    if any(a not in range(1, d + 1) for w in words for a in w):
+        return False
+    return _reference_is_complete_prefix_code(list(words), d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_letter_check_matches_per_letter_scan(d):
+    rng = random.Random(37)
+    words = _words_up_to(d, 2)
+    rejected = 0
+    for _ in range(3000):
+        code = rng.sample(words, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            k = rng.randrange(len(code))
+            if code[k]:
+                i = rng.randrange(len(code[k]))
+                bad = rng.choice((0, d + 1, rng.randint(1, d)))
+                code[k] = code[k][:i] + (bad,) + code[k][i + 1 :]
+        expected = _per_letter_is_complete_prefix_code(code, d)
+        assert _is_complete_prefix_code(code, d) == expected, code
+        rejected += not expected
+    assert 0 < rejected < 3000

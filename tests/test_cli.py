@@ -326,6 +326,9 @@ def _left_comb_element(depth):
         (None, ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"]),
         (None, ["normalizer", "--system", "V", "--radius", "0", "--budget", "1"]),
         (None, ["fpf", "--system", "prod:Z3:id,inv", "--m", "0"]),
+        # one above the largest n and m whose trees stay within MAX_TREE_DEPTH
+        (None, ["fpf", "--system", "prod:Z3:id,inv", "--n", "133"]),
+        (None, ["fpf", "--system", "prod:Z3:id,inv", "--m", "399"]),
         (
             None,
             ["conjugates", "--system", "V", "--radius", "1",
@@ -343,7 +346,8 @@ def _left_comb_element(depth):
         "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
         "normalizer-budget-zero", "normalizer-truncated-ball",
-        "normalizer-radius-zero", "fpf-m-zero", "element-deeper-than-cap",
+        "normalizer-radius-zero", "fpf-m-zero", "fpf-n-past-depth-cap",
+        "fpf-m-past-depth-cap", "element-deeper-than-cap",
         "verify-axioms-arity-one", "mixing-no-nontrivial-middle",
         "mixing-identity-middle",
     ],

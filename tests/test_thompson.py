@@ -35,8 +35,11 @@ from cloning_systems.trees import (
     collapse_at,
     expand_at,
     leaf,
+    parse_tree,
     random_tree,
     removable_carets,
+    right_spine,
+    tree_text,
 )
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
@@ -339,6 +342,13 @@ def test_powers_closed_form_matches_multiplication(dd, key):
         for m in range(1, 7):
             acc = acc * x
             assert powers_closed_form(system, T, k, l, m) == acc
+
+
+def test_powers_at_the_depth_cap_compare_equal():
+    system = make_system("prod:Z3:id,inv")
+    x = powers_closed_form(system, right_spine(2, 2), 1, 3, 399)
+    y = Element(system, parse_tree(tree_text(x.T), 2), x.g, parse_tree(tree_text(x.U), 2))
+    assert x.T is not y.T and x == y and hash(x) == hash(y)
 
 
 def test_powers_closed_form_validates():

@@ -319,6 +319,21 @@ def test_parse_is_iterative_and_caps_the_depth():
         assert str(exc.value) == f"tree depth {depth} exceeds the cap of {MAX_TREE_DEPTH}"
 
 
+def test_equality_walks_trees_at_the_depth_cap():
+    comb = _left_comb_text(MAX_TREE_DEPTH)
+    # the same comb with the two children of its second-deepest node swapped
+    swapped = "(" * (MAX_TREE_DEPTH - 1) + ".(..))" + ".)" * (MAX_TREE_DEPTH - 2)
+    a, b, c = (parse_tree(text, 2) for text in (comb, comb, swapped))
+    assert a is not b and a == b and a != c
+    # with every hash equal, only a walk down to the swap tells a from c
+    stack = [a, b, c]
+    while stack:
+        node = stack.pop()
+        object.__setattr__(node, "_hash", 0)
+        stack.extend(node.children)
+    assert a == b and a != c
+
+
 def _replayed_transplant(s, a, b):
     """Reference: replay the expansions that carry a onto s, on b."""
     for k in expansion_path(a, s):
