@@ -34,7 +34,8 @@ class CantorWord:
     Canonical form: the period is primitive (not a power of a shorter word)
     and the preperiod is as short as possible, letters being absorbed into a
     rotated period whenever they match its tail.  Text form "pre(period)"
-    with single-digit letters, e.g. "1(2)" for 1222...
+    with single-digit letters, e.g. "1(2)" for 1222...  Fields are read-only
+    by contract.
     """
 
     __slots__ = ("pre", "per", "_hash")
@@ -54,12 +55,9 @@ class CantorWord:
         while pre and pre[-1] == per[-1]:
             per = (per[-1],) + per[:-1]
             pre = pre[:-1]
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "per", per)
-        object.__setattr__(self, "_hash", hash((pre, per)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CantorWord is immutable")
+        self.pre = pre
+        self.per = per
+        self._hash = hash((pre, per))
 
     def letter(self, i: int) -> int:
         """0-based letter of the infinite word."""
@@ -128,9 +126,11 @@ class Automaton:
     Each state carries an output permutation of the alphabet and one
     successor state per letter.  Transitions must stay inside the state set,
     so the generated group is closed under taking sections by construction.
+    `trivial` holds the states that act as the identity (identity output,
+    every transition a loop).  Fields are read-only by contract.
     """
 
-    __slots__ = ("d", "states", "_hash")
+    __slots__ = ("d", "states", "trivial", "_hash")
 
     def __init__(self, d: int, states: dict):
         if d < 2:
@@ -144,18 +144,12 @@ class Automaton:
             if len(delta) != d or any(t not in states for t in delta):
                 raise ValueError(f"state {name!r}: transitions leave the state set")
             frozen[name] = (rho, delta)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "states", frozen)
-        object.__setattr__(
-            self, "_hash", hash((d, tuple(sorted((k, v) for k, v in frozen.items()))))
+        self.d = d
+        self.states = frozen
+        self.trivial = frozenset(
+            n for n, s in frozen.items() if s == (perm_identity(d), (n,) * d)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Automaton is immutable")
-
-    def is_trivial_state(self, name) -> bool:
-        rho, delta = self.states[name]
-        return rho == perm_identity(self.d) and all(t == name for t in delta)
+        self._hash = hash((d, tuple(sorted((k, v) for k, v in frozen.items()))))
 
     def __eq__(self, other):
         if not isinstance(other, Automaton):
@@ -169,13 +163,17 @@ class Automaton:
 # a word entry is (automaton, state name, sign); sign -1 means the inverse
 Entry = tuple[Automaton, str, int]
 
+# most distinct section words AutomatonElement.is_identity explores
+MAX_SECTION_WORDS = 100000
+
 
 class AutomatonElement:
     """A product of automaton states (and their inverses), leftmost applied last.
 
     The word representation makes composition and inversion free; sections
     are computed entrywise by the wreath recursion, and identity testing
-    explores the finitely many reachable section words exactly.
+    explores the finitely many reachable section words exactly.  Fields are
+    read-only by contract.
     """
 
     __slots__ = ("d", "word")
@@ -186,19 +184,18 @@ class AutomatonElement:
             machine, name, sign = entry
             if machine.d != d:
                 raise ValueError("arity mismatch in automaton word")
-            if machine.is_trivial_state(name):
+            if name in machine.trivial:
                 continue
+            if name not in machine.states:
+                raise KeyError(name)
             if simplified:
                 pm, pn, ps = simplified[-1]
                 if pm == machine and pn == name and ps == -sign:
                     simplified.pop()
                     continue
             simplified.append((machine, name, sign))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "word", tuple(simplified))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AutomatonElement is immutable")
+        self.d = d
+        self.word = tuple(simplified)
 
     def step(self, letter: int) -> tuple[int, "AutomatonElement"]:
         """One level of the wreath recursion: output letter and section."""
@@ -251,7 +248,7 @@ class AutomatonElement:
     def __hash__(self):
         return hash((self.d, self.word))
 
-    def is_identity(self, max_nodes: int = 100000) -> bool:
+    def is_identity(self) -> bool:
         """Exact identity test by exploring all reachable sections."""
         seen = {self.word}
         frontier = [self]
@@ -263,15 +260,15 @@ class AutomatonElement:
                     return False
                 if sec.word not in seen:
                     seen.add(sec.word)
-                    if len(seen) > max_nodes:
+                    if len(seen) > MAX_SECTION_WORDS:
                         raise UnsupportedError(
                             "identity test exceeded the section budget"
                         )
                     frontier.append(sec)
         return True
 
-    def equals(self, other: "AutomatonElement", max_nodes: int = 100000) -> bool:
-        return (self * other.inv()).is_identity(max_nodes=max_nodes)
+    def equals(self, other: "AutomatonElement") -> bool:
+        return (self * other.inv()).is_identity()
 
     def __repr__(self):
         return f"AutomatonElement({automaton_element_text(self)!r})"
@@ -325,7 +322,7 @@ class PrefixMap:
 
     Rule (u, v, s) sends the point u.x to v.s(x).  The domain words and the
     range words each form a complete prefix code, so every point matches
-    exactly one rule on each side.
+    exactly one rule on each side.  Fields are read-only by contract.
     """
 
     __slots__ = ("d", "rules")
@@ -343,11 +340,8 @@ class PrefixMap:
         for _, _, s in rules:
             if s.d != d:
                 raise ValueError("state arity mismatch")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rules", rules)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrefixMap is immutable")
+        self.d = d
+        self.rules = rules
 
     @classmethod
     def identity(cls, d: int) -> "PrefixMap":

@@ -155,11 +155,7 @@ class ProductSystem(CloningSystem):
     """
 
     def __init__(
-        self,
-        base: BaseGroup,
-        monos: tuple[Monomorphism, ...],
-        psi: bool = False,
-        name: Optional[str] = None,
+        self, base: BaseGroup, monos: tuple[Monomorphism, ...], psi: bool = False
     ):
         if len(monos) < 2:
             raise ValueError("need at least 2 monomorphisms (d >= 2)")
@@ -169,7 +165,7 @@ class ProductSystem(CloningSystem):
         self.psi = psi
         self.family = PsiFamily(base) if psi else ProductFamily(base)
         labels = ",".join(m.label for m in monos)
-        self.name = name or f"{'psi' if psi else 'prod'}:{base.name}:{labels}"
+        self.name = f"{'psi' if psi else 'prod'}:{base.name}:{labels}"
         self.fully_compatible = True
         self.pure = True
         self.uniform = all(m.label == "id" for m in monos)
@@ -500,6 +496,7 @@ def diversity_witness(
     When G_{n+d-1} is finite the search is exhaustive and an empty result
     proves the intersection trivial at this level; otherwise constructed
     candidates and seeded samples are tried and absence is evidence only.
+    A sampled search that draws no candidate at all raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -521,11 +518,15 @@ def diversity_witness(
         return {"witness": None, "exhaustive": True}
 
     seen = set()
+    tried = 0
     for x in _pattern_candidates(system, n, rng, budget):
+        tried += 1
         if x != identity and x not in seen:
             seen.add(x)
             if in_all_images(x):
                 return {"witness": x, "exhaustive": False}
+    if not tried and budget < 1:
+        raise ValueError(f"sampled search tried no candidate at budget {budget}")
     for _ in range(budget):
         x = fam.sample(big, rng)
         if x != identity and x not in seen:

@@ -126,7 +126,7 @@ def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
 
 
 class Element:
-    """Canonical (fully reduced) tree-pair element of the Thompson-like group."""
+    """Canonical (fully reduced) tree-pair element; fields are read-only by contract."""
 
     __slots__ = ("sys", "T", "g", "U", "_hash")
 
@@ -134,14 +134,11 @@ class Element:
         if not _raw:
             t = reduce_triple(Triple(system, T, g, U))
             T, g, U = t.T, t.g, t.U
-        object.__setattr__(self, "sys", system)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "_hash", hash((system.name, T, g, U)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
+        self.sys = system
+        self.T = T
+        self.g = g
+        self.U = U
+        self._hash = hash((system.name, T, g, U))
 
     @classmethod
     def identity(cls, system: CloningSystem) -> "Element":

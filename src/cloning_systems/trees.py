@@ -19,7 +19,9 @@ MAX_TREE_DEPTH = 400
 
 
 class Tree:
-    __slots__ = ("d", "children", "leaf_count", "_hash")
+    """A leaf or a node of d subtrees; fields are read-only by contract."""
+
+    __slots__ = ("d", "children", "is_leaf", "leaf_count", "_hash")
 
     def __init__(self, d: int, children: tuple = ()):
         if d < 2:
@@ -29,19 +31,11 @@ class Tree:
         for c in children:
             if c.d != d:
                 raise ValueError("mixed arities in one tree")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(
-            self, "leaf_count", 1 if not children else sum(c.leaf_count for c in children)
-        )
-        object.__setattr__(self, "_hash", hash((d, self.children)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tree is immutable")
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+        self.d = d
+        self.children = tuple(children)
+        self.is_leaf = not children
+        self.leaf_count = 1 if not children else sum(c.leaf_count for c in children)
+        self._hash = hash((d, self.children))
 
     def __hash__(self):
         return self._hash

@@ -23,7 +23,7 @@ from cloning_systems.cantor import (
     tail_equivalent,
 )
 from cloning_systems.cloning import make_system
-from cloning_systems.groups import UnsupportedError, cycle_perm
+from cloning_systems.groups import UnsupportedError, cycle_perm, perm_identity
 from cloning_systems.thompson import Element, fd_generator, random_element
 from cloning_systems.trees import caret
 
@@ -103,6 +103,67 @@ def test_automaton_validation():
         Automaton(2, {"s": ((1, 1), ("s", "s"))})  # not a permutation
     with pytest.raises(ValueError):
         Automaton(2, {"s": ((1, 2), ("s", "t"))})  # transition leaves state set
+
+
+def _is_trivial_state(machine, name):
+    """Oracle: the per-call predicate that Automaton.trivial replaced."""
+    rho, delta = machine.states[name]
+    return rho == perm_identity(machine.d) and all(t == name for t in delta)
+
+
+def _random_automaton(d, rng):
+    """1-4 states; outputs and transitions lean to the identity and to loops."""
+    names = [f"s{i}" for i in range(rng.randint(1, 4))]
+    states = {}
+    for name in names:
+        rho = list(range(1, d + 1))
+        if rng.random() < 0.5:
+            rng.shuffle(rho)
+        delta = [name if rng.random() < 0.7 else rng.choice(names) for _ in range(d)]
+        states[name] = (rho, delta)
+    return Automaton(d, states)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_trivial_states_match_the_per_state_predicate(d):
+    odometer = Automaton(2, {"a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))})
+    rng = random.Random(53 + d)
+    machines = [full_reflection(d).word[0][0], odometer]
+    machines += [_random_automaton(d, rng) for _ in range(300)]
+    seen = {True: 0, False: 0}
+    for machine in machines:
+        expected = {n for n in machine.states if _is_trivial_state(machine, n)}
+        assert machine.trivial == expected
+        for name in machine.states:
+            trivial = _is_trivial_state(machine, name)
+            seen[trivial] += 1
+            if machine.d == d:
+                element = AutomatonElement(d, ((machine, name, 1), (machine, name, 1)))
+                assert (element.word == ()) == trivial
+    assert min(seen.values()) >= 50
+
+
+def test_word_entry_naming_an_unknown_state_raises():
+    odometer = Automaton(2, {"a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))})
+    for machine in (odometer, full_reflection(2).word[0][0]):
+        with pytest.raises(KeyError):
+            AutomatonElement(2, ((machine, "b", 1),))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CantorWord((1,), (2,)),
+        lambda: full_reflection(2).word[0][0],
+        lambda: full_reflection(2),
+        lambda: PrefixMap.identity(2),
+    ],
+    ids=["CantorWord", "Automaton", "AutomatonElement", "PrefixMap"],
+)
+def test_cantor_values_refuse_new_attributes(make):
+    # fields are read-only by contract; __slots__ still refuses new ones
+    with pytest.raises(AttributeError):
+        make().extra = 1
 
 
 def test_adding_machine_has_infinite_order_elements():

@@ -58,6 +58,13 @@ def test_triple_validation():
         Triple(make_system("Vhat"), caret(2), cycle_perm(2, (1, 2)), caret(2))
 
 
+def test_elements_refuse_new_attributes():
+    # fields are read-only by contract; __slots__ still refuses new ones
+    for x in (Element.identity(V), fd_generator(V, 0)):
+        with pytest.raises(AttributeError):
+            x.extra = 1
+
+
 def test_expansion_of_trivial_middle_keeps_it_trivial():
     t = Triple(V, caret(2), perm_identity(2), expand_at(leaf(2), 1))
     for k in (1, 2):
@@ -139,7 +146,7 @@ def _reference_reduce(t, rng=None):
             return t
 
 
-REDUCE_KEYS = BUILTIN_SYSTEM_KEYS + ("V:3", "F:3")
+REDUCE_KEYS = BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS
 
 
 @pytest.mark.parametrize("key", REDUCE_KEYS)
@@ -211,7 +218,7 @@ def test_pow_matches_repeated_multiplication():
             assert x**-2 == (x.inv()) ** 2
 
 
-POWER_KEYS = BUILTIN_SYSTEM_KEYS + ("V:3", "F:3")
+POWER_KEYS = BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS
 
 
 @pytest.mark.parametrize("key", POWER_KEYS)

@@ -37,6 +37,14 @@ def test_leaf_and_caret_counts():
     assert expand_at(leaf(5), 1) == caret(5)
 
 
+def test_trees_refuse_new_attributes():
+    # fields are read-only by contract; __slots__ still refuses new ones
+    for t in (leaf(2), caret(3)):
+        with pytest.raises(AttributeError):
+            t.extra = 1
+    assert leaf(2).is_leaf and not caret(3).is_leaf
+
+
 def test_expand_at_single_caret():
     assert expand_at(leaf(2), 1) == caret(2)
     assert expand_at(leaf(3), 1) == caret(3)
