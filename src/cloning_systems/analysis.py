@@ -21,6 +21,7 @@ from .cloning import CloningSystem, ProductSystem, image_membership
 from .groups import BaseGroup, Monomorphism, identity_mono, perm_apply
 from .thompson import (
     Element,
+    coset_key,
     fd_conjugates,
     powers_closed_form,
     random_element,
@@ -196,24 +197,10 @@ def normalizes_up_to(
 
 
 def coset_orbit_count(x: Element, ball: FdBall) -> int:
-    """Distinct cosets (f x)F_d over f in the ball.
-
-    Two translates agree exactly when (f1 x)^{-1} (f2 x) has identity
-    middle, so class representatives are compared by exact multiplication.
-    """
+    """Distinct cosets (f x)F_d over f in the ball, counted by coset_key."""
     if x.sys.name != ball.system.name:
         raise ValueError("element and ball live in different systems")
-    reps: list[Element] = []
-    rep_invs: list[Element] = []
-    for f in ball.elements:
-        y = f * x
-        for ri in rep_invs:
-            if (ri * y).in_fd():
-                break
-        else:
-            reps.append(y)
-            rep_invs.append(y.inv())
-    return len(reps)
+    return len({coset_key(f * x) for f in ball.elements})
 
 
 def mixing_witness(

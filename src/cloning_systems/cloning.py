@@ -430,7 +430,9 @@ def probe_property(
 
     Verdicts: "holds-exhaustive" (finite levels fully enumerated),
     "holds-on-samples" (no counterexample found; not a proof), or "fails"
-    with a counterexample payload.
+    with a counterexample payload.  A sampled probe checks exactly `budget`
+    elements, spread as evenly as possible over the levels (the lower
+    levels take the remainder); one that would check none raises ValueError.
     """
     if prop not in PROBE_PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
@@ -438,11 +440,13 @@ def probe_property(
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     exhaustive = all(system.family.is_finite(n) for n in range(1, n_max + 1))
+    if not exhaustive and budget < 1:
+        raise ValueError(f"sampled probe checks no element at budget {budget}")
     for n in range(1, n_max + 1):
         if exhaustive:
             elems = system.family.enumerate(n)
         else:
-            per_level = max(1, budget // n_max)
+            per_level = budget // n_max + (n <= budget % n_max)
             elems = [system.family.sample(n, rng) for _ in range(per_level)]
         for g in elems:
             bad = _probe_one(system, prop, n, g)

@@ -125,6 +125,29 @@ def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
             return t if U is t.U else Triple(system, T, g, U)
 
 
+def coset_key(y: Element) -> tuple[Tree, object]:
+    """Canonical key of the left coset y F_d: the reduced right half of y^-1.
+
+    y F_d matches F_d y^-1, and for y^-1 = [P, h, Q] that right coset is
+    every [P', h', Q'] with (h', Q') an expansion of (h, Q) and P' any tree
+    of the same size: F_d supplies the left tree.  So the key reduces the
+    half (Q, h) alone, collapsing block k whenever h = clone_k(h0), with no
+    rho and no left tree.  By C2 and the injectivity of each clone_k, the
+    result does not depend on the order in which sites are tried.
+    """
+    yi = y.inv()
+    system, h, Q = yi.sys, yi.g, yi.U
+    while True:
+        n_small = Q.leaf_count - (system.d - 1)
+        for k in removable_carets(Q):
+            h0 = system.try_unclone(n_small, k, h)
+            if h0 is not None:
+                h, Q = h0, collapse_at(Q, k)
+                break
+        else:
+            return Q, h
+
+
 class Element:
     """Canonical (fully reduced) tree-pair element; fields are read-only by contract."""
 

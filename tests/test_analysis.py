@@ -15,14 +15,31 @@ from cloning_systems.analysis import (
     normalizes_up_to,
     sample_nontrivial_elements,
 )
-from cloning_systems.cloning import make_system
+from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
 from cloning_systems.groups import base_group_by_name, cycle_perm, mono_for
-from cloning_systems.thompson import Element, fd_generator, random_element
-from cloning_systems.trees import caret, expand_at, leaf, parse_tree
+from cloning_systems.thompson import (
+    Element,
+    coset_key,
+    fd_generator,
+    random_element,
+)
+from cloning_systems.trees import (
+    caret,
+    collapse_at,
+    expand_at,
+    leaf,
+    parse_tree,
+    removable_carets,
+)
 
 V = make_system("V")
 PROD = make_system("prod:Z3:id,id")
 PSI = make_system("psi:Z3:id,id")
+
+# the arity-3 keys of test_thompson
+TERNARY_SYSTEM_KEYS = (
+    "V:3", "T:3", "Vhat:3", "F:3", "prod:Z3:id,id,inv", "psi:Z3:id,inv,id",
+)
 
 
 def test_ball_radius_one_is_identity_only():
@@ -194,6 +211,84 @@ def test_coset_equality_is_equivalence_relation():
             for c in translates[:3]:
                 if same_coset(a, b) and same_coset(b, c):
                     assert same_coset(a, c)
+
+
+def _coset_orbit_oracle(x, ball):
+    """The quadratic count: compare each translate with every representative."""
+    rep_invs = []
+    for f in ball.elements:
+        y = f * x
+        if not any((ri * y).in_fd() for ri in rep_invs):
+            rep_invs.append(y.inv())
+    return len(rep_invs)
+
+
+def _shuffled_coset_key(y, rng):
+    """coset_key with the sites of each pass tried in a random order."""
+    yi = y.inv()
+    system, h, Q = yi.sys, yi.g, yi.U
+    while True:
+        n_small = Q.leaf_count - (system.d - 1)
+        sites = list(removable_carets(Q))
+        rng.shuffle(sites)
+        for k in sites:
+            h0 = system.try_unclone(n_small, k, h)
+            if h0 is not None:
+                h, Q = h0, collapse_at(Q, k)
+                break
+        else:
+            return Q, h
+
+
+def _key_case(key):
+    """A system, its F_d ball (radius 3 at d = 2, 2 at d = 3) and random elements.
+
+    The elements lie outside F_d except in F and F:3, where every element
+    is in F_d.
+    """
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2)
+    rng = random.Random(key)
+    xs = sample_nontrivial_elements(
+        system, 4, rng, max_carets=3, require_non_fd=not key.startswith("F")
+    )
+    return system, ball, xs
+
+
+@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+def test_coset_orbit_count_matches_the_oracle(key):
+    _, ball, xs = _key_case(key)
+    for x in xs:
+        assert coset_orbit_count(x, ball) == _coset_orbit_oracle(x, ball)
+
+
+@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+def test_coset_key_is_constant_on_cosets(key):
+    _, ball, xs = _key_case(key)
+    for y in xs:
+        assert all(coset_key(y * f) == coset_key(y) for f in ball.elements)
+
+
+@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+def test_coset_key_separates_cosets(key):
+    _, ball, xs = _key_case(key)
+    for x in xs[:2]:
+        translates = [f * x for f in ball.elements]
+        keys = [coset_key(a) for a in translates]
+        for a, ka in zip(translates, keys):
+            ai = a.inv()
+            for b, kb in zip(translates, keys):
+                assert (ka == kb) == (ai * b).in_fd()
+
+
+@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+def test_coset_key_does_not_depend_on_site_order(key):
+    _, ball, xs = _key_case(key)
+    rng = random.Random(17)
+    for x in xs:
+        for f in ball.elements:
+            y = f * x
+            assert _shuffled_coset_key(y, rng) == coset_key(y)
 
 
 def test_mixing_witness_commuting_pair():

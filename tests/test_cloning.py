@@ -359,6 +359,34 @@ def test_probe_uniform_holds_for_identity_products():
     )
 
 
+@pytest.mark.parametrize("budget, n_max", [(1, 4), (3, 4), (7, 3), (12, 4), (50, 4)])
+def test_sampled_probe_checks_exactly_budget_elements(monkeypatch, budget, n_max):
+    import cloning_systems.cloning as cloning
+
+    levels = []
+    monkeypatch.setattr(
+        cloning, "_probe_one", lambda system, prop, n, g: levels.append(n)
+    )
+    result = probe_property(
+        make_system("prod:F2:id,swap"), "pure", n_max=n_max, budget=budget
+    )
+    assert result["verdict"] == "holds-on-samples"
+    assert len(levels) == budget
+    # level i takes budget // n_max, plus one while i <= budget % n_max
+    assert [levels.count(n) for n in range(1, n_max + 1)] == [
+        budget // n_max + (n <= budget % n_max) for n in range(1, n_max + 1)
+    ]
+
+
+def test_sampled_probe_refuses_an_empty_budget():
+    with pytest.raises(ValueError, match="budget 0"):
+        probe_property(make_system("prod:F2:id,swap"), "pure", budget=0)
+    # an exhaustive probe ignores the budget
+    assert probe_property(make_system("V"), "fully_compatible", budget=0)[
+        "verdict"
+    ] == "holds-exhaustive"
+
+
 def test_image_membership_identity_and_constant_tuples():
     for system in ALL_SYSTEMS:
         e = system.family.identity(3 + system.d - 1)
