@@ -1,27 +1,30 @@
 """Finite rooted d-ary trees: the combinatorial substrate of tree-pair algebra.
 
-A tree is either a single leaf or a node carrying exactly d subtrees.  Trees
-are immutable values with structural equality; leaves are numbered 1..n left
-to right, and vertices are addressed by words over {1,..,d} with the root at
-the empty word.  The canonical text form is preorder: "." for a leaf,
-"(c1...cd)" for a node, e.g. "((..).)" is the binary left comb on 3 leaves.
+A tree is stored as its leaf depths in left-to-right leaf order.  A full
+d-ary tree is exactly that tuple, a complete prefix code: this is the caret
+and leaf encoding of Cannon, Floyd and Parry.  Trees are immutable values
+with structural equality; leaves are numbered 1..n left to right, and
+vertices are addressed by words over {1,..,d} with the root at the empty
+word.  The canonical text form is preorder: "." for a leaf, "(c1...cd)" for
+a node, e.g. "((..).)" is the binary left comb on 3 leaves, depths (2, 2, 1).
+Every operation is a loop or a splice over the depths; none recurses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Optional
 
-# deepest tree parse_tree accepts: tree walks recurse per level (tree_union
-# two frames a level), which must stay inside Python's default limit of 1000
+# deepest tree parse_tree accepts: an input bound on tree texts, which also
+# sets fpf's caps on n and m
 MAX_TREE_DEPTH = 400
 
 
 class Tree:
-    """A leaf or a node of d subtrees; fields are read-only by contract."""
+    """A full d-ary tree as its leaf depths; fields are read-only by contract."""
 
-    __slots__ = ("d", "children", "is_leaf", "leaf_count", "_hash")
+    __slots__ = ("d", "depths", "leaf_count", "is_leaf", "_hash")
 
     def __init__(self, d: int, children: tuple = ()):
         if d < 2:
@@ -31,11 +34,26 @@ class Tree:
         for c in children:
             if c.d != d:
                 raise ValueError("mixed arities in one tree")
+        self._set(d, tuple(e + 1 for c in children for e in c.depths) or (0,))
+
+    def _set(self, d: int, depths: tuple) -> None:
         self.d = d
-        self.children = tuple(children)
-        self.is_leaf = not children
-        self.leaf_count = 1 if not children else sum(c.leaf_count for c in children)
-        self._hash = hash((d, self.children))
+        self.depths = depths
+        self.leaf_count = len(depths)
+        self.is_leaf = len(depths) == 1
+        self._hash = hash((d, depths))
+
+    @property
+    def children(self) -> tuple:
+        """The d subtrees below the root (() for a leaf), cut from the depths."""
+        if self.is_leaf:
+            return ()
+        kids, start = [], 0
+        for i, (e, c) in enumerate(zip(self.depths, _closes(self.d, self.depths))):
+            if e - c <= 1:  # back at the root: a child ends at leaf i
+                kids.append(_tree(self.d, tuple(x - 1 for x in self.depths[start : i + 1])))
+                start = i + 1
+        return tuple(kids)
 
     def __hash__(self):
         return self._hash
@@ -43,20 +61,71 @@ class Tree:
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        # an explicit stack: comparing children tuples recurses once per level,
-        # which overflows on equal trees well short of MAX_TREE_DEPTH
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.d != b.d or a.leaf_count != b.leaf_count or a._hash != b._hash:
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
+        return self.d == other.d and self.depths == other.depths
 
     def __repr__(self):
         return f"Tree({self.d}, {tree_text(self)!r})"
+
+
+def _tree(d: int, depths: tuple) -> Tree:
+    """Trusted constructor: depths must be a complete d-ary prefix code."""
+    t = object.__new__(Tree)
+    t._set(d, depths)
+    return t
+
+
+def _closes(d: int, depths) -> list[int]:
+    """Per leaf, how many nodes end at it: the ")"s after it in tree_text.
+
+    One stack scan.  The stack holds the depths of finished subtrees that
+    wait for their siblings; it never decreases upward, so d equal entries
+    on top are the d children of one node, which then finishes in turn.
+    """
+    out: list[int] = []
+    stack: list[int] = []
+    for e in depths:
+        stack.append(e)
+        while len(stack) >= d and stack[-d] == stack[-1]:
+            del stack[1 - d :]
+            stack[-1] -= 1
+        out.append(e - stack[-1])
+    return out
+
+
+def _words(d: int, depths) -> Iterator[tuple[int, ...]]:
+    """Leaf address words in leaf order, which is lexicographic order."""
+    word = [1] * depths[0]
+    yield tuple(word)
+    for e in islice(depths, 1, None):
+        # the next leaf: the next sibling of the deepest vertex that has one
+        while word[-1] == d:
+            word.pop()
+        word[-1] += 1
+        word += [1] * (e - len(word))
+        yield tuple(word)
+
+
+def _refine(d: int, a: list, b: list) -> tuple[list[int], list[int]]:
+    """Expand depth lists a and b in place to their minimal common expansion.
+
+    Where the two first differ, the shallower leaf must split.  Returns the
+    positions split on each side in the order made: leftmost first, each
+    new node before its descendants.
+    """
+    path_a: list[int] = []
+    path_b: list[int] = []
+    i = 0
+    while i < len(a):
+        x, y = a[i], b[i]
+        if x < y:
+            a[i : i + 1] = [x + 1] * d
+            path_a.append(i + 1)
+        elif y < x:
+            b[i : i + 1] = [y + 1] * d
+            path_b.append(i + 1)
+        else:
+            i += 1
+    return path_a, path_b
 
 
 def leaf(d: int) -> Tree:
@@ -71,221 +140,132 @@ def caret(d: int) -> Tree:
 
 def tree_text(t: Tree) -> str:
     out: list[str] = []
-    todo: list = [t]  # trees still to write, and the ")" that closes each node
-    while todo:
-        node = todo.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif node.is_leaf:
-            out.append(".")
-        else:
-            out.append("(")
-            todo.append(")")
-            todo.extend(reversed(node.children))
+    depth = 0  # nodes open before the next leaf
+    for e, c in zip(t.depths, _closes(t.d, t.depths)):
+        out.append("(" * (e - depth) + "." + ")" * c)
+        depth = e - c
     return "".join(out)
 
 
 def parse_tree(text: str, d: int) -> Tree:
     """Parse the preorder text form back into a Tree of arity d.
 
-    Trees deeper than MAX_TREE_DEPTH are refused: most tree operations
-    recurse once per level.
+    Trees deeper than MAX_TREE_DEPTH are refused: the cap bounds the work
+    that one input can ask for.
     """
-    open_nodes: list[list[Tree]] = []  # children read so far, per open "("
-    depth = 0
-    t = None
+    if d < 2:
+        raise ValueError(f"arity must be >= 2, got {d}")
+    open_nodes: list[int] = []  # children read so far, per open "("
+    depths: list[int] = []
+    done = False
     for ch in text:
-        if t is not None:
+        if done:
             raise ValueError(f"trailing garbage in tree text {text!r}")
         if ch == "(":
-            open_nodes.append([])
-            depth = max(depth, len(open_nodes))
+            open_nodes.append(0)
             continue
         if ch == ".":
-            node = Tree(d)
+            depths.append(len(open_nodes))
         elif ch == ")" and open_nodes:
-            node = Tree(d, tuple(open_nodes.pop()))
+            kids = open_nodes.pop()
+            if kids != d:
+                raise ValueError(f"node must have exactly {d} children, got {kids}")
         else:
             raise ValueError(f"unexpected character {ch!r} in tree text {text!r}")
         if open_nodes:
-            open_nodes[-1].append(node)
+            open_nodes[-1] += 1
         else:
-            t = node
+            done = True
     if open_nodes:
         raise ValueError(f"unbalanced parentheses in {text!r}")
-    if t is None:
+    if not done:
         raise ValueError(f"unexpected end of tree text: {text!r}")
+    depth = max(depths)
     if depth > MAX_TREE_DEPTH:
         raise ValueError(f"tree depth {depth} exceeds the cap of {MAX_TREE_DEPTH}")
-    return t
+    return _tree(d, tuple(depths))
 
 
 def expand_at(t: Tree, k: int) -> Tree:
     """Glue a d-ary caret onto leaf k (1-based); leaf count grows by d-1."""
     if not 1 <= k <= t.leaf_count:
         raise IndexError(f"leaf index {k} out of range 1..{t.leaf_count}")
-    return _expand(t, k)
-
-
-def _expand(t: Tree, k: int) -> Tree:
-    if t.is_leaf:
-        return caret(t.d)
-    kids = []
-    acc = 0
-    for c in t.children:
-        if acc < k <= acc + c.leaf_count:
-            kids.append(_expand(c, k - acc))
-        else:
-            kids.append(c)
-        acc += c.leaf_count
-    return Tree(t.d, tuple(kids))
+    depths = t.depths
+    return _tree(t.d, depths[: k - 1] + (depths[k - 1] + 1,) * t.d + depths[k:])
 
 
 def removable_carets(t: Tree) -> set[int]:
     """Leaf indices k such that leaves k..k+d-1 are the d children of one node."""
-    out: set[int] = set()
-
-    def walk(node: Tree, offset: int) -> None:
-        if node.is_leaf:
-            return
-        if all(c.is_leaf for c in node.children):
-            out.add(offset + 1)
-            return
-        acc = offset
-        for c in node.children:
-            walk(c, acc)
-            acc += c.leaf_count
-
-    walk(t, 0)
-    return out
+    d, depths = t.d, t.depths
+    # a node ending at leaf i whose first child is a leaf as deep as leaf i
+    # has only leaf children: d - 1 leaves cannot hold a bigger subtree
+    return {
+        i - d + 2
+        for i, c in enumerate(_closes(d, depths))
+        if c and depths[i - d + 1] == depths[i]
+    }
 
 
 def collapse_at(t: Tree, k: int) -> Tree:
     """Inverse of expand_at: delete the caret whose leaves are k..k+d-1."""
-    word = leaf_word(t, k) if 1 <= k <= t.leaf_count else ()
-    if not word or word[-1] != 1 or not all(
-        c.is_leaf for c in subtree_at(t, word[:-1]).children
+    d, depths = t.d, t.depths
+    last = k + d - 2  # the caret's last leaf, 0-based
+    if not (
+        1 <= k
+        and last < len(depths)
+        and depths[k - 1] == depths[last]
+        and _closes(d, depths[: last + 1])[-1]
     ):
         raise ValueError(f"no removable caret at leaf {k}")
-    return replace_at(t, word[:-1], Tree(t.d))
+    return _tree(d, depths[: k - 1] + (depths[last] - 1,) + depths[last + 1 :])
 
 
 def leaf_words(t: Tree) -> tuple[tuple[int, ...], ...]:
     """Root-to-leaf address words in left-to-right leaf order."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: Tree, prefix: tuple[int, ...]) -> None:
-        if node.is_leaf:
-            out.append(prefix)
-            return
-        for i, c in enumerate(node.children, start=1):
-            walk(c, prefix + (i,))
-
-    walk(t, ())
-    return tuple(out)
+    return tuple(_words(t.d, t.depths))
 
 
 def leaf_word(t: Tree, k: int) -> tuple[int, ...]:
     if not 1 <= k <= t.leaf_count:
         raise IndexError(f"leaf index {k} out of range 1..{t.leaf_count}")
-    word: list[int] = []
-    node = t
-    kk = k
-    while not node.is_leaf:
-        acc = 0
-        for i, c in enumerate(node.children, start=1):
-            if acc < kk <= acc + c.leaf_count:
-                word.append(i)
-                kk -= acc
-                node = c
-                break
-            acc += c.leaf_count
-    return tuple(word)
+    return next(islice(_words(t.d, t.depths), k - 1, None))
 
 
 def leaf_index(t: Tree, word: tuple[int, ...]) -> int:
     """Inverse of leaf_word; raises if word is not a leaf address of t."""
-    node = t
-    idx = 1
-    for step in word:
-        if node.is_leaf or not 1 <= step <= t.d:
-            raise ValueError(f"{word} is not a leaf address")
-        for c in node.children[: step - 1]:
-            idx += c.leaf_count
-        node = node.children[step - 1]
-    if not node.is_leaf:
-        raise ValueError(f"{word} addresses an internal vertex, not a leaf")
-    return idx
-
-
-def is_vertex(t: Tree, word: tuple[int, ...]) -> bool:
-    node = t
-    for step in word:
-        if node.is_leaf or not 1 <= step <= t.d:
-            return False
-        node = node.children[step - 1]
-    return True
-
-
-def subtree_at(t: Tree, word: tuple[int, ...]) -> Tree:
-    node = t
-    for step in word:
-        if node.is_leaf:
-            raise ValueError(f"{word} is not a vertex")
-        node = node.children[step - 1]
-    return node
-
-
-def replace_at(t: Tree, word: tuple[int, ...], sub: Tree) -> Tree:
-    """Replace the whole subtree rooted at vertex `word` with `sub`."""
-    if not word:
-        return sub
-    if t.is_leaf:
-        raise ValueError(f"{word} is not a vertex")
-    step = word[0]
-    kids = list(t.children)
-    kids[step - 1] = replace_at(kids[step - 1], word[1:], sub)
-    return Tree(t.d, tuple(kids))
+    v = tuple(word)
+    if all(1 <= step <= t.d for step in v):
+        for k, w in enumerate(_words(t.d, t.depths), start=1):
+            if w[: len(v)] == v:
+                if len(w) == len(v):
+                    return k
+                raise ValueError(f"{word} addresses an internal vertex, not a leaf")
+            if v[: len(w)] == w:
+                break  # v lies below the leaf w
+    raise ValueError(f"{word} is not a leaf address")
 
 
 def graft(t: Tree, word: tuple[int, ...], sub: Tree) -> Tree:
     """Glue `sub` onto the leaf addressed by `word`."""
-    if subtree_at(t, word).is_leaf:
-        return replace_at(t, word, sub)
-    raise ValueError(f"{word} is not a leaf of the tree")
-
-
-def vertices(t: Tree) -> tuple[tuple[int, ...], ...]:
-    """All vertex words (internal and leaves) in preorder."""
-    out: list[tuple[int, ...]] = []
-
-    def walk(node: Tree, prefix: tuple[int, ...]) -> None:
-        out.append(prefix)
-        for i, c in enumerate(node.children, start=1):
-            walk(c, prefix + (i,))
-
-    walk(t, ())
-    return tuple(out)
+    k = leaf_index(t, word)
+    if sub.d != t.d:
+        raise ValueError("mixed arities in one tree")
+    depths, e = t.depths, t.depths[k - 1]
+    return _tree(t.d, depths[: k - 1] + tuple(e + x for x in sub.depths) + depths[k:])
 
 
 def tree_union(t: Tree, u: Tree) -> Tree:
     """Leafwise union of shapes: the minimal common expansion."""
     if t.d != u.d:
         raise ValueError("arity mismatch")
-    if t.is_leaf:
-        return u
-    if u.is_leaf:
-        return t
-    return Tree(t.d, tuple(tree_union(a, b) for a, b in zip(t.children, u.children)))
+    depths = list(t.depths)
+    grown, _ = _refine(t.d, depths, list(u.depths))
+    return _tree(t.d, tuple(depths)) if grown else t
 
 
 def dominates(big: Tree, small: Tree) -> bool:
     """True if big can be obtained from small by expansions."""
-    if small.is_leaf:
-        return True
-    if big.is_leaf:
-        return False
-    return all(dominates(a, b) for a, b in zip(big.children, small.children))
+    return tree_union(big, small) == big
 
 
 def expansion_path(t: Tree, target: Tree) -> list[int]:
@@ -297,21 +277,9 @@ def expansion_path(t: Tree, target: Tree) -> list[int]:
     """
     if t.d != target.d:
         raise ValueError("arity mismatch")
-    path: list[int] = []
-
-    def walk(node: Tree, goal: Tree, offset: int) -> None:
-        if goal.is_leaf:
-            if not node.is_leaf:
-                raise ValueError("target does not dominate the tree")
-            return
-        if node.is_leaf:
-            path.append(offset + 1)
-        # once expanded, a leaf of t has d leaf children; the leaf stands in
-        for a, b in zip(node.children or (node,) * node.d, goal.children):
-            walk(a, b, offset)
-            offset += b.leaf_count
-
-    walk(t, target, 0)
+    path, missing = _refine(t.d, list(t.depths), list(target.depths))
+    if missing:
+        raise ValueError("target does not dominate the tree")
     return path
 
 
@@ -328,30 +296,19 @@ def transplant(s: Tree, a: Tree, b: Tree) -> Tree:
 
     s must dominate a, so s is a with a tree F_i glued at each leaf i; the
     result is b with F_i glued at its leaf i.  a and b need the same leaf
-    count.  Replaying expansion_path(a, s) on b gives the same tree.
+    count.  The expansions that carry a onto s are replayed on b.
     """
     if not s.d == a.d == b.d:
         raise ValueError("arity mismatch")
     if a.leaf_count != b.leaf_count:
         raise ValueError("leaf counts differ")
-    forest: list[Tree] = []
-    todo = [(s, a)]
-    while todo:
-        node, stem = todo.pop()
-        if stem.is_leaf:
-            forest.append(node)
-        elif node.is_leaf:
-            raise ValueError("the tree does not dominate the stem")
-        else:
-            todo += zip(node.children[::-1], stem.children[::-1])
-    grafts = iter(forest)
-
-    def glue(node: Tree) -> Tree:
-        if node.is_leaf:
-            return next(grafts)
-        return Tree(node.d, tuple(map(glue, node.children)))
-
-    return glue(b)
+    path, missing = _refine(s.d, list(a.depths), list(s.depths))
+    if missing:
+        raise ValueError("the tree does not dominate the stem")
+    depths = list(b.depths)
+    for k in path:
+        depths[k - 1 : k] = [depths[k - 1] + 1] * s.d
+    return _tree(s.d, tuple(depths))
 
 
 def agree_away_from(
@@ -367,16 +324,25 @@ def agree_away_from(
         raise ValueError("arity mismatch")
     if t.leaf_count != u.leaf_count:
         raise ValueError("leaf counts differ")
-    stub = Tree(t.d)
-    candidates = [w for w in leaf_words(t) if is_vertex(u, w)]
-    candidates += [
-        w for w in vertices(t) if w and not subtree_at(t, w).is_leaf and is_vertex(u, w)
-    ]
-    for v in candidates:
-        r1 = replace_at(t, v, stub)
-        if r1 == replace_at(u, v, stub):
-            return v, r1
+    runs_t, runs_u = _runs(t), _runs(u)
+    shared = [v for v in runs_t if v and v in runs_u]
+    shared.sort(key=lambda v: runs_t[v][1] - runs_t[v][0] > 1)  # leaves first
+    for v in shared:
+        # R is either tree with the leaf run below v cut back to one leaf
+        (lo, hi), (lo_u, hi_u) = runs_t[v], runs_u[v]
+        r = t.depths[:lo] + (len(v),) + t.depths[hi:]
+        if r == u.depths[:lo_u] + (len(v),) + u.depths[hi_u:]:
+            return v, _tree(t.d, r)
     return None
+
+
+def _runs(t: Tree) -> dict[tuple[int, ...], list[int]]:
+    """Every vertex word of t, in preorder, with its leaf run [lo, hi) (0-based)."""
+    runs: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(_words(t.d, t.depths)):
+        for j in range(len(w) + 1):
+            runs.setdefault(w[:j], [i, i])[1] = i + 1
+    return runs
 
 
 def right_spine(d: int, carets: int) -> Tree:

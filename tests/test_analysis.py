@@ -15,7 +15,7 @@ from cloning_systems.analysis import (
     normalizes_up_to,
     sample_nontrivial_elements,
 )
-from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
+from cloning_systems.cloning import make_system
 from cloning_systems.groups import base_group_by_name, cycle_perm, mono_for
 from cloning_systems.thompson import (
     Element,
@@ -31,15 +31,11 @@ from cloning_systems.trees import (
     parse_tree,
     removable_carets,
 )
+from test_thompson import ALL_KEYS
 
 V = make_system("V")
 PROD = make_system("prod:Z3:id,id")
 PSI = make_system("psi:Z3:id,id")
-
-# the arity-3 keys of test_thompson
-TERNARY_SYSTEM_KEYS = (
-    "V:3", "T:3", "Vhat:3", "F:3", "prod:Z3:id,id,inv", "psi:Z3:id,inv,id",
-)
 
 
 def test_ball_radius_one_is_identity_only():
@@ -255,21 +251,21 @@ def _key_case(key):
     return system, ball, xs
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_coset_orbit_count_matches_the_oracle(key):
     _, ball, xs = _key_case(key)
     for x in xs:
         assert coset_orbit_count(x, ball) == _coset_orbit_oracle(x, ball)
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_coset_key_is_constant_on_cosets(key):
     _, ball, xs = _key_case(key)
     for y in xs:
         assert all(coset_key(y * f) == coset_key(y) for f in ball.elements)
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_coset_key_separates_cosets(key):
     _, ball, xs = _key_case(key)
     for x in xs[:2]:
@@ -281,7 +277,7 @@ def test_coset_key_separates_cosets(key):
                 assert (ka == kb) == (ai * b).in_fd()
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_coset_key_does_not_depend_on_site_order(key):
     _, ball, xs = _key_case(key)
     rng = random.Random(17)

@@ -337,6 +337,7 @@ def _left_comb_element(depth):
         (None, ["verify-axioms", "--system", "V:1"]),
         (None, ["mixing", "--system", "T"]),
         (None, ["mixing", "--system", "V", "--middle", "[1,2,3]"]),
+        (None, ["mixing", "--system", "V", "--leaf-word", "3", "--middle", "[2,1,3]"]),
         (None, ["diversity", "--system", "prod:F2:id,swap", "--n", "2", "--budget", "0"]),
         (None, ["probe", "pure", "--system", "prod:F2:id,swap", "--budget", "0"]),
     ],
@@ -351,7 +352,8 @@ def _left_comb_element(depth):
         "normalizer-radius-zero", "fpf-m-zero", "fpf-n-past-depth-cap",
         "fpf-m-past-depth-cap", "element-deeper-than-cap",
         "verify-axioms-arity-one", "mixing-no-nontrivial-middle",
-        "mixing-identity-middle", "diversity-budget-zero", "probe-budget-zero",
+        "mixing-identity-middle", "mixing-leaf-word-out-of-range",
+        "diversity-budget-zero", "probe-budget-zero",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):

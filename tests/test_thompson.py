@@ -44,9 +44,11 @@ from cloning_systems.trees import (
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 V = make_system("V")
+# the arity-3 keys; test_analysis runs over ALL_KEYS too
 TERNARY_SYSTEM_KEYS = (
     "V:3", "T:3", "Vhat:3", "F:3", "prod:Z3:id,id,inv", "psi:Z3:id,inv,id",
 )
+ALL_KEYS = BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS
 
 
 def test_triple_validation():
@@ -103,7 +105,7 @@ def test_expand_left_targets_requested_leaf():
             assert e.T == expand_at(t.T, j)
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_reduce_roundtrip_and_confluence(key):
     system = make_system(key)
     rng = random.Random(11)
@@ -146,10 +148,7 @@ def _reference_reduce(t, rng=None):
             return t
 
 
-REDUCE_KEYS = BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS
-
-
-@pytest.mark.parametrize("key", REDUCE_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_reduce_matches_reference_loop(key):
     system = make_system(key)
     d = system.d
@@ -172,7 +171,7 @@ def test_reduce_matches_reference_loop(key):
             assert reduce_triple(t) is t
 
 
-@pytest.mark.parametrize("key", REDUCE_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_inverse_is_built_canonical(key):
     system = make_system(key)
     rng = random.Random(43)
@@ -192,7 +191,7 @@ def test_reduce_identity_chain():
     assert r.T.is_leaf and r.U.is_leaf
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_group_laws(key):
     system = make_system(key)
     rng = random.Random(13)
@@ -218,10 +217,7 @@ def test_pow_matches_repeated_multiplication():
             assert x**-2 == (x.inv()) ** 2
 
 
-POWER_KEYS = BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS
-
-
-@pytest.mark.parametrize("key", POWER_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_pow_by_squaring_matches_repeated_multiplication(key):
     system = make_system(key)
     x, y = sample_nontrivial_elements(system, 2, random.Random(31), max_carets=3)
@@ -233,6 +229,13 @@ def test_pow_by_squaring_matches_repeated_multiplication(key):
             if m <= 6:
                 assert x**-m == acc.inv()
             acc = acc * x
+
+
+def test_thousandth_power_has_trees_a_thousand_levels_deep():
+    x = fd_generator(V, 0) * fd_generator(V, 3).inv()
+    power = x**1000
+    assert power == x**999 * x
+    assert min(max(power.T.depths), max(power.U.depths)) > 1000
 
 
 @pytest.mark.parametrize("dd,key", [(2, "F"), (2, "V"), (3, "F:3")])
@@ -268,7 +271,7 @@ def _conjugate_oracle(x, f):
     return f.inv() * x * f
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS + TERNARY_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_fd_conjugates_match_two_products(key):
     system = make_system(key)
     ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2)
@@ -365,7 +368,7 @@ def test_powers_closed_form_validates():
         powers_closed_form(V, caret(2), 1, 2, 0)
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_composite_inverse_closed_form(key):
     system = make_system(key)
     d = system.d
@@ -490,7 +493,7 @@ def test_endpoint_character_kills_commutators():
         assert endpoint_slope_character(commutator(x, y)) == (0, 0)
 
 
-@pytest.mark.parametrize("key", BUILTIN_SYSTEM_KEYS)
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_element_text_roundtrip(key):
     system = make_system(key)
     rng = random.Random(53)

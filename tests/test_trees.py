@@ -26,7 +26,6 @@ from cloning_systems.trees import (
     tree_text,
     tree_union,
     trees_with_carets,
-    vertices,
 )
 
 
@@ -333,12 +332,11 @@ def test_equality_walks_trees_at_the_depth_cap():
     swapped = "(" * (MAX_TREE_DEPTH - 1) + ".(..))" + ".)" * (MAX_TREE_DEPTH - 2)
     a, b, c = (parse_tree(text, 2) for text in (comb, comb, swapped))
     assert a is not b and a == b and a != c
-    # with every hash equal, only a walk down to the swap tells a from c
-    stack = [a, b, c]
-    while stack:
-        node = stack.pop()
-        object.__setattr__(node, "_hash", 0)
-        stack.extend(node.children)
+    # a and c have the same leaf depths as a multiset: equality reads their order
+    assert sorted(a.depths) == sorted(c.depths)
+    # equality does not go through the hash
+    for t in (a, b, c):
+        t._hash = 0
     assert a == b and a != c
 
 
@@ -397,9 +395,113 @@ def test_trees_with_carets_counts():
     assert [len(trees_with_carets(3, c)) for c in range(4)] == [1, 1, 3, 12]
 
 
-def test_vertices_contains_root_and_leaves():
-    t = expand_at(caret(2), 2)
-    vs = vertices(t)
-    assert () in vs
-    for w in leaf_words(t):
-        assert w in vs
+def test_graft_rejects_steps_outside_one_to_d():
+    for d in (2, 3):
+        for step in (0, d + 1):
+            with pytest.raises(ValueError, match="is not a leaf address"):
+                graft(caret(d), (step,), caret(d))
+    with pytest.raises(ValueError, match="internal vertex"):
+        graft(expand_at(caret(2), 1), (1,), caret(2))
+
+
+def test_agree_away_from_two_leaves_has_no_proper_vertex():
+    assert agree_away_from(leaf(2), leaf(2)) is None
+
+
+# The recursive node-object algorithms that the flat depth tuples replaced,
+# kept as oracles over .children and Tree(d, kids).
+
+
+def _nested_expand(t, k):
+    if t.is_leaf:
+        return caret(t.d)
+    kids, acc = [], 0
+    for c in t.children:
+        kids.append(_nested_expand(c, k - acc) if acc < k <= acc + c.leaf_count else c)
+        acc += c.leaf_count
+    return Tree(t.d, tuple(kids))
+
+
+def _nested_removable_carets(t, offset=0):
+    if t.is_leaf:
+        return set()
+    if all(c.is_leaf for c in t.children):
+        return {offset + 1}
+    out = set()
+    for c in t.children:
+        out |= _nested_removable_carets(c, offset)
+        offset += c.leaf_count
+    return out
+
+
+def _nested_union(t, u):
+    if t.is_leaf:
+        return u
+    if u.is_leaf:
+        return t
+    return Tree(t.d, tuple(_nested_union(a, b) for a, b in zip(t.children, u.children)))
+
+
+def _nested_collapse(t, k):
+    """t with the node over leaves k..k+d-1 made a leaf; None if not a caret."""
+    if t.is_leaf:
+        return None
+    if k == 1 and all(c.is_leaf for c in t.children):
+        return Tree(t.d)
+    kids, acc = list(t.children), 0
+    for i, c in enumerate(kids):
+        if acc < k <= acc + c.leaf_count:
+            sub = _nested_collapse(c, k - acc)
+            if sub is None:
+                return None
+            kids[i] = sub
+            return Tree(t.d, tuple(kids))
+        acc += c.leaf_count
+    return None
+
+
+def _oracle_trees(d):
+    """Every tree up to 4 carets (3 at d = 4), and random bigger ones."""
+    rng = random.Random(300 + d)
+    small = [t for c in range(5 if d < 4 else 4) for t in trees_with_carets(d, c)]
+    return small + [random_tree(d, rng.randint(5, 15), rng) for _ in range(40)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flat_trees_match_nested_oracles(d):
+    trees = _oracle_trees(d)
+    for t in trees:
+        assert t.is_leaf or Tree(d, t.children) == t
+        assert parse_tree(tree_text(t), d) == t
+        assert removable_carets(t) == _nested_removable_carets(t)
+        for k in range(t.leaf_count + 2):
+            if 1 <= k <= t.leaf_count:
+                assert expand_at(t, k) == _nested_expand(t, k)
+            expected = _nested_collapse(t, k)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    collapse_at(t, k)
+            else:
+                assert collapse_at(t, k) == expected
+    for t in trees:
+        for u in trees:
+            w = _nested_union(t, u)
+            assert tree_union(t, u) == w
+            assert dominates(t, u) == (w == t)
+
+
+def test_three_thousand_level_comb_needs_no_recursion():
+    depth = 3000
+    spine = right_spine(2, depth)  # the right comb
+    left = leaf(2)
+    for _ in range(depth):
+        left = expand_at(left, 1)
+    deeper = expand_at(spine, spine.leaf_count)
+    assert deeper != spine and collapse_at(deeper, deeper.leaf_count - 1) == spine
+    assert removable_carets(deeper) == {deeper.leaf_count - 1}
+    w = tree_union(spine, left)
+    assert w.leaf_count == 2 * depth and dominates(w, left)
+    assert common_expansion(spine, left)[0] == w
+    assert transplant(w, left, spine).leaf_count == w.leaf_count
+    assert tree_text(spine) == "(." * depth + "." + ")" * depth
+    assert leaf_words(left)[0] == (1,) * depth
