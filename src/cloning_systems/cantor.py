@@ -172,8 +172,10 @@ class AutomatonElement:
 
     The word representation makes composition and inversion free; sections
     are computed entrywise by the wreath recursion, and identity testing
-    explores the finitely many reachable section words exactly.  Fields are
-    read-only by contract.
+    explores the finitely many reachable section words exactly.  The empty
+    word is the identity: its sections, products and inverse are the
+    elements at hand, so it costs no allocation and no exploration.  Fields
+    are read-only by contract.
     """
 
     __slots__ = ("d", "word")
@@ -201,6 +203,8 @@ class AutomatonElement:
         """One level of the wreath recursion: output letter and section."""
         if not 1 <= letter <= self.d:
             raise ValueError(f"letter {letter} out of range 1..{self.d}")
+        if not self.word:
+            return letter, self
         out = letter
         new_word: list[Entry] = []
         for machine, name, sign in reversed(self.word):
@@ -218,6 +222,11 @@ class AutomatonElement:
 
     def apply_finite(self, word: Word) -> tuple[Word, "AutomatonElement"]:
         """Image of a finite word together with the section below it."""
+        if not self.word:
+            for letter in word:
+                if not 1 <= letter <= self.d:
+                    raise ValueError(f"letter {letter} out of range 1..{self.d}")
+            return tuple(word), self
         out: list[int] = []
         cur = self
         for letter in word:
@@ -232,9 +241,15 @@ class AutomatonElement:
         """Product: other acts first."""
         if self.d != other.d:
             raise ValueError("arity mismatch")
+        if not self.word:
+            return other
+        if not other.word:
+            return self
         return AutomatonElement(self.d, self.word + other.word)
 
     def inv(self) -> "AutomatonElement":
+        if not self.word:
+            return self
         return AutomatonElement(
             self.d, tuple((m, n, -s) for m, n, s in reversed(self.word))
         )
@@ -250,6 +265,8 @@ class AutomatonElement:
 
     def is_identity(self) -> bool:
         """Exact identity test by exploring all reachable sections."""
+        if not self.word:
+            return True
         seen = {self.word}
         frontier = [self]
         while frontier:
@@ -268,6 +285,14 @@ class AutomatonElement:
         return True
 
     def equals(self, other: "AutomatonElement") -> bool:
+        """Semantic equality: the same action on every infinite word.
+
+        Syntactically equal words are equal at once, without exploring, so
+        such a pair never hits the MAX_SECTION_WORDS budget; any
+        other pair tests self * other^-1 with is_identity.
+        """
+        if self.d == other.d and self.word == other.word:
+            return True
         return (self * other.inv()).is_identity()
 
     def __repr__(self):
@@ -426,21 +451,30 @@ class PrefixMap:
 
         Walks the leaves of the union of the two domain code trees in
         lexicographic order and compares both rules' images and sections.
+        Both rule tuples are sorted complete prefix codes, so one merge pass
+        finds each leaf: it is the longer of the two current domain words,
+        whose side then advances, and the other side advances too once its
+        next word leaves the current word's cone.
         """
         if self.d != other.d:
             return False
-        stack: list[Word] = [()]
-        while stack:
-            w = stack.pop()
-            mine, theirs = self.rule_at(w), other.rule_at(w)
-            if mine is None or theirs is None:
-                stack.extend(w + (a,) for a in range(self.d, 0, -1))
-                continue
-            (u1, v1, s1), (u2, v2, s2) = mine, theirs
+        mine, theirs = self.rules, other.rules
+        i = j = 0
+        while i < len(mine):  # both codes cover the space, so both end here
+            (u1, v1, s1), (u2, v2, s2) = mine[i], theirs[j]
+            w = u1 if len(u1) >= len(u2) else u2
             image1, section1 = s1.apply_finite(w[len(u1) :])
             image2, section2 = s2.apply_finite(w[len(u2) :])
             if v1 + image1 != v2 + image2 or not section1.equals(section2):
                 return False
+            if len(u1) >= len(u2):
+                i += 1
+                if i == len(mine) or mine[i][0][: len(u2)] != u2:
+                    j += 1
+            else:
+                j += 1
+                if j == len(theirs) or theirs[j][0][: len(u1)] != u1:
+                    i += 1
         return True
 
     def is_identity(self) -> bool:

@@ -335,6 +335,8 @@ def run_cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
                     failures.append((element_text(x), element_text(y)))
                     break
                 points_checked += 1
+            if failures:
+                break
     order_ok = all(
         cantor.is_order_preserving(cantor.from_tree_pair(x)) == x.in_fd()
         for x in ball

@@ -18,7 +18,7 @@ import random
 from typing import Iterable, Iterator, Optional
 
 from .cloning import CloningSystem, make_system
-from .groups import UnsupportedError, perm_apply, perm_inv
+from .groups import UnsupportedError, perm_apply
 from .trees import (
     Tree,
     collapse_at,
@@ -95,7 +95,9 @@ def expand_triple(t: Triple, k: int) -> Triple:
 def expand_left(t: Triple, j: int) -> Triple:
     """Expansion that puts the new caret at leaf j of the left tree."""
     n = t.n
-    k = perm_apply(perm_inv(t.sys.rho(n, t.g)), j)
+    if not 1 <= j <= n:
+        raise IndexError(f"expansion position {j} out of range 1..{n}")
+    k = t.sys.rho(n, t.g).index(j) + 1
     return expand_triple(t, k)
 
 

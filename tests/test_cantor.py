@@ -453,6 +453,119 @@ def _reference_equals(f, g):
     )
 
 
+def _general_step(e, letter):
+    """The wreath recursion entry by entry, with no identity shortcut."""
+    if not 1 <= letter <= e.d:
+        raise ValueError(f"letter {letter} out of range 1..{e.d}")
+    out = letter
+    new_word = []
+    for machine, name, sign in reversed(e.word):
+        rho, delta = machine.states[name]
+        if sign > 0:
+            nxt = delta[out - 1]
+            out = rho[out - 1]
+        else:
+            j = rho.index(out) + 1
+            nxt = delta[j - 1]
+            out = j
+        new_word.append((machine, nxt, sign))
+    new_word.reverse()
+    return out, AutomatonElement(e.d, new_word)
+
+
+def _general_apply_finite(e, word):
+    out = []
+    for letter in word:
+        o, e = _general_step(e, letter)
+        out.append(o)
+    return tuple(out), e
+
+
+def _general_mul(a, b):
+    if a.d != b.d:
+        raise ValueError("arity mismatch")
+    return AutomatonElement(a.d, a.word + b.word)
+
+
+def _general_inv(e):
+    return AutomatonElement(e.d, tuple((m, n, -s) for m, n, s in reversed(e.word)))
+
+
+def _general_is_identity(e):
+    seen = {e.word}
+    frontier = [e]
+    while frontier:
+        cur = frontier.pop()
+        for i in range(1, cur.d + 1):
+            out, sec = _general_step(cur, i)
+            if out != i:
+                return False
+            if sec.word not in seen:
+                seen.add(sec.word)
+                frontier.append(sec)
+    return True
+
+
+def _general_equals(a, b):
+    return _general_is_identity(_general_mul(a, _general_inv(b)))
+
+
+def _random_elements(d, rng, count):
+    """The identity, words that cancel to it, and random signed words over
+    two random automata, some of them repeated as equal copies."""
+    machines = [_random_automaton(d, rng), _random_automaton(d, rng)]
+    entries = [(m, n) for m in machines for n in m.states]
+    elements = [identity_element(d)]
+    for _ in range(count):
+        length = rng.randint(0, 3)
+        word = [(*rng.choice(entries), rng.choice((1, -1))) for _ in range(length)]
+        e = AutomatonElement(d, word)
+        elements.append(e)
+        if rng.random() < 0.2:
+            elements.append(AutomatonElement(d, e.word + _general_inv(e).word))
+        if rng.random() < 0.2:
+            elements.append(AutomatonElement(d, e.word))
+    return elements
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_identity_fast_paths_match_the_general_recursion(d):
+    rng = random.Random(41 + d)
+    elements = _random_elements(d, rng, 120)
+    assert sum(not e.word for e in elements) >= 10
+    for e in elements:
+        for letter in range(1, d + 1):
+            assert e.step(letter) == _general_step(e, letter)
+        for _ in range(3):
+            word = tuple(rng.randint(1, d) for _ in range(rng.randint(0, 5)))
+            assert e.apply_finite(word) == _general_apply_finite(e, word)
+        assert e.inv() == _general_inv(e)
+        assert e.is_identity() == _general_is_identity(e)
+    equal = 0
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        for x, y in ((a, b), (b, a), (a, a), (a, identity_element(d))):
+            assert x * y == _general_mul(x, y)
+            assert x.equals(y) == _general_equals(x, y)
+            equal += x.equals(y)
+    assert len(elements) < equal < 4 * len(elements)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_identity_element_returns_itself_and_checks_letters(d):
+    e = identity_element(d)
+    h = full_reflection(d)
+    assert e.step(d)[0] == d and e.step(d)[1] is e
+    assert e.apply_finite((1, d, 1))[1] is e
+    assert e.inv() is e
+    assert h * e is h and e * h is h
+    for bad in (0, d + 1):
+        message = rf"^letter {bad} out of range 1\.\.{d}$"
+        with pytest.raises(ValueError, match=message):
+            e.step(bad)
+        with pytest.raises(ValueError, match=message):
+            e.apply_finite((1, bad))
+
+
 def _words_up_to(d, length):
     return [w for n in range(length + 1) for w in product(range(1, d + 1), repeat=n)]
 
@@ -505,6 +618,13 @@ def test_equals_matches_common_refinement(key):
             (f.compose(g), g.invert().invert().compose(f.normalize())),
             (f, PrefixMap(f.d, [(u, v, s * full_reflection(f.d)) for u, v, s in f.rules])),
         ]
+        # a single rule at () against a deep table, in both orders, so that
+        # each side of the merge pass waits while the other leaves its cone
+        for single in (PrefixMap.identity(f.d), _reflection_map(f.d)):
+            deep = single
+            for _ in range(rng.randint(3, 8)):
+                deep = _split_rule(deep, rng.randrange(len(deep.rules)))
+            variants += [(single, deep), (deep, single), (single, g), (f, single)]
         for a, b in variants:
             expected = _reference_equals(a, b)
             assert a.equals(b) == expected == b.equals(a)

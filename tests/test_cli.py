@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cloning_systems.analysis import DEFAULT_MAX_BALL
+from cloning_systems.cantor import CantorWord, PrefixMap
 from cloning_systems.cli import (
     EXPERIMENTS,
     PARAM_TYPES,
@@ -202,6 +203,24 @@ def test_cantor_crosscheck_five_hundred_samples(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "pass"
     assert doc["series"]["pairs_checked"] >= 500
+
+
+def test_cantor_crosscheck_stops_at_the_first_failed_point(capsys, monkeypatch):
+    # every apply returns a new point, so each point check disagrees; the
+    # run must end at the first one instead of failing every 50th pair
+    calls = iter(range(1, 10**6))
+    monkeypatch.setattr(
+        PrefixMap, "apply", lambda self, p: CantorWord((2,) * next(calls), (1,))
+    )
+    code, out, _ = run_cli(
+        capsys, "cantor-crosscheck", "--system", "V", "--radius", "1", "--budget", "200"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    assert len(doc["witnesses"]) == 1
+    assert doc["series"]["pairs_checked"] == 50
+    assert doc["series"]["points_checked"] == 0
 
 
 def test_report_from_config_file(tmp_path, capsys):

@@ -9,6 +9,7 @@ from cloning_systems.groups import (
     cycle_perm,
     perm_apply,
     perm_identity,
+    perm_inv,
 )
 from cloning_systems.thompson import (
     Element,
@@ -103,6 +104,14 @@ def test_expand_left_targets_requested_leaf():
             j = rng.randint(1, t.n)
             e = expand_left(t, j)
             assert e.T == expand_at(t.T, j)
+            # oracle: the right leaf k is rho(g)^-1(j), by inverting rho
+            k = perm_apply(perm_inv(system.rho(t.n, t.g)), j)
+            o = expand_triple(t, k)
+            assert (e.T, e.g, e.U) == (o.T, o.g, o.U)
+        for j in (0, t.n + 1):
+            message = rf"^expansion position {j} out of range 1\.\.{t.n}$"
+            with pytest.raises(IndexError, match=message):
+                expand_left(t, j)
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
