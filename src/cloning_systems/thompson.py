@@ -42,7 +42,16 @@ class SystemMismatch(ValueError):
 
 
 class Triple:
-    """A not-necessarily-reduced representative (T, g, U)."""
+    """A not-necessarily-reduced representative (T, g, U).
+
+    Triple(...) checks the arity of both trees, that their leaf counts agree
+    and that g lies in G_n; Element(...) checks through it, and so do
+    parse_element and random_element.  Expansions and reductions of a
+    checked triple stay valid (clone and unclone map G_n into G_{n+d-1}
+    and back), so expand_triple, reduce_triple and Element.triple build
+    theirs with _triple, unchecked.  A product then checks its middle once,
+    not once per grafted caret, and its checks cost O(n) in leaves, not O(n^2).
+    """
 
     __slots__ = ("sys", "T", "g", "U")
 
@@ -81,13 +90,20 @@ class Triple:
         return f"Triple({self.sys.name}, {tree_text(self.T)}, {self.g}, {tree_text(self.U)})"
 
 
+def _triple(system: CloningSystem, T: Tree, g, U: Tree) -> Triple:
+    """Trusted constructor: (T, g, U) must pass the checks of Triple(...)."""
+    t = object.__new__(Triple)
+    t.sys, t.T, t.g, t.U = system, T, g, U
+    return t
+
+
 def expand_triple(t: Triple, k: int) -> Triple:
     """Expansion at leaf k of the right tree (and at rho(g)(k) of the left)."""
     n = t.n
     if not 1 <= k <= n:
         raise IndexError(f"expansion position {k} out of range 1..{n}")
     j = perm_apply(t.sys.rho(n, t.g), k)
-    return Triple(
+    return _triple(
         t.sys, expand_at(t.T, j), t.sys.clone(n, k, t.g), expand_at(t.U, k)
     )
 
@@ -124,7 +140,7 @@ def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
                 T, g, U = collapse_at(T, j), g0, collapse_at(U, k)
                 break
         else:
-            return t if U is t.U else Triple(system, T, g, U)
+            return t if U is t.U else _triple(system, T, g, U)
 
 
 def coset_key(y: Element) -> tuple[Tree, object]:
@@ -175,7 +191,7 @@ class Element:
         return self.T.leaf_count
 
     def triple(self) -> Triple:
-        return Triple(self.sys, self.T, self.g, self.U)
+        return _triple(self.sys, self.T, self.g, self.U)
 
     def is_identity(self) -> bool:
         return (

@@ -137,6 +137,14 @@ def test_normalizer_reports_witness_and_exit_one(capsys):
     assert any("failing conjugator" in w for w in doc["witnesses"])
 
 
+def test_element_with_unequal_leaf_counts_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, "normalizer", "--system", "V", "--radius", "2",
+        "--element", "[(..) ; [2,1] ; .]",
+    )
+    assert (code, out, err) == (2, "", "error: leaf counts differ\n")
+
+
 def test_mixing_default_pair(capsys):
     code, out, _ = run_cli(capsys, "mixing", "--system", "psi:Z3:id,id", "--seed", "2")
     assert code == 0

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from cloning_systems import thompson
 from cloning_systems.analysis import enumerate_fd_ball, sample_nontrivial_elements
-from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
+from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, SymmetricSystem, make_system
 from cloning_systems.groups import (
     UnsupportedError,
     cycle_perm,
@@ -59,6 +60,27 @@ def test_triple_validation():
         Triple(V, caret(2), perm_identity(3), caret(2))
     with pytest.raises(ValueError):
         Triple(make_system("Vhat"), caret(2), cycle_perm(2, (1, 2)), caret(2))
+
+
+class _LeakyT(SymmetricSystem):
+    """T with a clone that swaps the first two images, leaving the rotations."""
+
+    def __init__(self):
+        super().__init__("T")
+
+    def clone(self, n, k, g):
+        out = list(super().clone(n, k, g))
+        out[0], out[1] = out[1], out[0]
+        return tuple(out)
+
+
+def test_a_clone_that_leaves_the_family_is_caught_at_the_product():
+    # expansions are not re-checked, but the product's Element(...) is
+    system = _LeakyT()
+    x = Element(system, caret(2), cycle_perm(2, (1, 2)), caret(2))
+    y = fd_generator(system, 0)  # its left tree makes x expand at leaf 1
+    with pytest.raises(ValueError, match=r"^middle element is not in C at level 3$"):
+        x * y
 
 
 def test_elements_refuse_new_attributes():
@@ -180,6 +202,30 @@ def test_reduce_matches_reference_loop(key):
             assert reduce_triple(t) is t
 
 
+def _assert_valid(t):
+    """Oracle for the unchecked triples: the public checks accept t as it is."""
+    assert type(t) is Triple
+    assert Triple(t.sys, t.T, t.g, t.U) == t
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_unchecked_triples_pass_the_public_checks(key):
+    system = make_system(key)
+    rng = random.Random(47)
+    for trial in range(40):
+        t = random_element(system, rng, max_carets=4).triple()
+        _assert_valid(t)
+        for _ in range(rng.randint(1, 10)):
+            step = rng.randrange(3)
+            if step == 0:
+                t = expand_triple(t, rng.randint(1, t.n))
+            elif step == 1:
+                t = expand_left(t, rng.randint(1, t.n))
+            else:
+                t = reduce_triple(t, rng=random.Random(trial))
+            _assert_valid(t)
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_inverse_is_built_canonical(key):
     system = make_system(key)
@@ -245,6 +291,32 @@ def test_thousandth_power_has_trees_a_thousand_levels_deep():
     power = x**1000
     assert power == x**999 * x
     assert min(max(power.T.depths), max(power.U.depths)) > 1000
+
+
+@pytest.mark.parametrize("key", ["V", "prod:F2:id,swap"])
+def test_a_product_checks_its_middle_once(key, monkeypatch):
+    system = make_system(key)
+    x = fd_generator(system, 0) * fd_generator(system, 3).inv()
+    calls = {"contains": 0, "mul": 0}
+    contains = system.family.contains
+
+    def counting_contains(n, g):
+        calls["contains"] += 1
+        return contains(n, g)
+
+    def counting_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(system.family, "contains", counting_contains)
+    monkeypatch.setattr(thompson, "mul", counting_mul)
+    power = x**64
+    # 64 = 2**6: six squarings, which graft 2 + 4 + ... + 64 = 126 carets
+    assert calls == {"contains": 6, "mul": 6}
+    assert min(max(power.T.depths), max(power.U.depths)) > 64
+    y = power * x.inv()
+    assert calls == {"contains": 7, "mul": 7}
+    assert y == x**63
 
 
 @pytest.mark.parametrize("dd,key", [(2, "F"), (2, "V"), (3, "F:3")])
