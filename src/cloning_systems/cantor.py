@@ -348,6 +348,16 @@ class PrefixMap:
     Rule (u, v, s) sends the point u.x to v.s(x).  The domain words and the
     range words each form a complete prefix code, so every point matches
     exactly one rule on each side.  Fields are read-only by contract.
+
+    PrefixMap(...) sorts the rules by domain word and checks both codes and
+    the arity of every state, so a table built from outside values is
+    checked once, where it enters.  Tables built from checked ones stay
+    valid: compose refines the other table's domain code and its range
+    words are the images of a homeomorphism, invert swaps the two codes,
+    normalize replaces d sibling rules by their parent on both sides, and
+    from_tree_pair takes the leaf words of two trees.  So compose, invert,
+    normalize, identity and from_tree_pair build theirs with _prefix_map,
+    unchecked.
     """
 
     __slots__ = ("d", "rules")
@@ -368,9 +378,9 @@ class PrefixMap:
         self.d = d
         self.rules = rules
 
-    @classmethod
-    def identity(cls, d: int) -> "PrefixMap":
-        return cls(d, (((), (), identity_element(d)),))
+    @staticmethod
+    def identity(d: int) -> "PrefixMap":
+        return _prefix_map(d, (((), (), identity_element(d)),))
 
     def rule_at(self, word: Word) -> Optional[Rule]:
         """The rule whose domain word is a prefix of word, or None.
@@ -431,20 +441,19 @@ class PrefixMap:
             rest = v[len(w_plus) :]
             out_rest, t_section = t.apply_finite(rest)
             out.append((u, w_minus + out_rest, t_section * s))
-        return PrefixMap(d, _normalize_rules(out, d))
+        return _prefix_map(d, sorted(_normalize_rules(out, d), key=itemgetter(0)))
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         return self.compose(other)
 
     def invert(self) -> "PrefixMap":
-        return PrefixMap(
-            self.d,
-            _normalize_rules([(v, u, s.inv()) for u, v, s in self.rules], self.d),
-        )
+        rules = _normalize_rules([(v, u, s.inv()) for u, v, s in self.rules], self.d)
+        return _prefix_map(self.d, sorted(rules, key=itemgetter(0)))
 
     def normalize(self) -> "PrefixMap":
         """Canonical table: merge sibling rules that expand a single rule."""
-        return PrefixMap(self.d, _normalize_rules(self.rules, self.d))
+        rules = _normalize_rules(self.rules, self.d)
+        return _prefix_map(self.d, sorted(rules, key=itemgetter(0)))
 
     def equals(self, other: "PrefixMap") -> bool:
         """Semantic equality: same action on every point.
@@ -482,6 +491,14 @@ class PrefixMap:
 
     def __repr__(self):
         return f"PrefixMap({rule_table_text(self)!r})"
+
+
+def _prefix_map(d: int, rules: Iterable[Rule]) -> PrefixMap:
+    """Trusted constructor: rules must be sorted by domain word and pass the
+    checks of PrefixMap(...)."""
+    f = object.__new__(PrefixMap)
+    f.d, f.rules = d, tuple(rules)
+    return f
 
 
 def _normalize_rules(rules: Iterable[Rule], d: int) -> list[Rule]:
@@ -566,7 +583,8 @@ def from_tree_pair(x: Element) -> PrefixMap:
     # Already normal: with trivial states only d sibling leaves of U sent in
     # order onto d sibling leaves of T could merge, and that is an in-order
     # block reduce_triple would have collapsed, since an Element is reduced.
-    return PrefixMap(d, rules)
+    # Already sorted: leaf words run in lexicographic order.
+    return _prefix_map(d, rules)
 
 
 def is_order_preserving(f: PrefixMap) -> bool:

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from cloning_systems import cantor
 from cloning_systems.analysis import enumerate_system_ball, sample_nontrivial_elements
 from cloning_systems.cantor import (
     Automaton,
@@ -207,6 +208,21 @@ def _reflection_map(d=2):
     return PrefixMap(d, (((), (), full_reflection(d)),))
 
 
+def test_prefix_map_checks_state_arity():
+    with pytest.raises(ValueError, match="^state arity mismatch$"):
+        PrefixMap(2, (((), (), identity_element(3)),))
+    with pytest.raises(ValueError, match="^state arity mismatch$"):
+        PrefixMap(3, (((), (), full_reflection(2)),))
+
+
+def test_compose_refuses_tables_of_different_arity():
+    binary = from_tree_pair(fd_generator(V, 0))
+    ternary = from_tree_pair(fd_generator(make_system("V:3"), 0))
+    for f, g in ((binary, ternary), (ternary, binary), (_reflection_map(3), binary)):
+        with pytest.raises(ValueError, match="^arity mismatch$"):
+            f.compose(g)
+
+
 def test_prefix_map_validates_codes():
     ident = identity_element(2)
     with pytest.raises(ValueError):
@@ -303,14 +319,76 @@ def test_apply_respects_composition():
             assert h.compose(f).apply(p) == h.apply(f.apply(p))
 
 
+def _assert_valid_table(f):
+    """f passes the checks of PrefixMap(...), which it was built without:
+    both codes are complete, and the public constructor accepts the rules
+    and keeps their order, so they are sorted by domain word."""
+    assert _is_complete_prefix_code([u for u, _, _ in f.rules], f.d), f
+    assert _is_complete_prefix_code([v for _, v, _ in f.rules], f.d), f
+    assert PrefixMap(f.d, f.rules).rules == f.rules
+
+
 def test_codes_stay_complete_under_compose_and_invert():
-    # constructing a PrefixMap revalidates the codes, so surviving the
-    # constructor is the invariant; exercise deep compositions
+    # compose, invert and normalize build their tables unchecked; check each
+    # table of a deep composition against the public constructor's checks
     rng = random.Random(11)
     acc = PrefixMap.identity(2)
+    _assert_valid_table(acc)
     for _ in range(25):
-        acc = acc.compose(from_tree_pair(random_element(V, rng)))
+        f = from_tree_pair(random_element(V, rng))
+        acc = acc.compose(f)
+        for table in (f, acc, acc.invert(), acc.normalize()):
+            _assert_valid_table(table)
     assert acc.invert().invert().equals(acc)
+
+
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_unchecked_tables_pass_the_public_checks(key):
+    system = make_system(key)
+    rng = random.Random(41)
+    h = _reflection_map(system.d)
+    for _ in range(40):
+        fx = from_tree_pair(random_element(system, rng))
+        fy = from_tree_pair(random_element(system, rng))
+        for table in (
+            fx,
+            fx.compose(fy),
+            fx.invert(),
+            _split_rule(fx, rng.randrange(len(fx.rules))).normalize(),
+            h.compose(fx).compose(h),
+            h.compose(fx.compose(fy)).compose(h).invert(),
+        ):
+            _assert_valid_table(table)
+
+
+def test_only_the_public_constructor_checks_codes(monkeypatch):
+    calls = []
+    check = cantor._is_complete_prefix_code
+
+    def counting(words, d):
+        calls.append(d)
+        return check(words, d)
+
+    monkeypatch.setattr(cantor, "_is_complete_prefix_code", counting)
+    rng = random.Random(43)
+    for key in PERMUTATION_KEYS:
+        system = make_system(key)
+        h = _reflection_map(system.d)
+        assert len(calls) == 2
+        calls.clear()
+        x, y = random_element(system, rng), random_element(system, rng)
+        fx, fy = from_tree_pair(x), from_tree_pair(y)
+        composed = fx.compose(fy)
+        assert from_tree_pair(x * y).equals(composed)
+        assert from_tree_pair(x.inv()).equals(fx.invert())
+        conj = h.compose(composed).compose(h).normalize()
+        assert conj.equals(h.compose(fx).compose(h).compose(h.compose(fy).compose(h)))
+        assert PrefixMap.identity(system.d).is_identity()
+        assert calls == []
+        for table in (fx, composed, conj):
+            PrefixMap(table.d, table.rules)
+            assert calls == [system.d, system.d]
+            calls.clear()
 
 
 def test_normalization_merges_sibling_rules():
