@@ -170,7 +170,9 @@ def enumerate_system_ball(
 def conjugate_count(x: Element, ball: FdBall) -> int:
     """Number of distinct conjugates f^{-1} x f over f in the ball.
 
-    x is expanded once per left tree of the ball (see fd_conjugates).
+    x is expanded and split into forests once per left tree of the ball;
+    each conjugate grafts them onto its right tree and is reduced only when
+    that tree has the carets a collapse needs (see fd_conjugates).
     """
     if x.sys.name != ball.system.name:
         raise ValueError("element and ball live in different systems")

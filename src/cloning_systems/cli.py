@@ -135,6 +135,10 @@ def run_verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
 
 
 def run_probe(system, params: dict, seed: int) -> ExperimentReport:
+    if params["property"] is None:
+        raise ConfigError(
+            f"probe needs a property, one of {', '.join(cloning.PROBE_PROPERTIES)}"
+        )
     result = cloning.probe_property(
         system, params["property"], n_max=params["n"], budget=params["budget"], seed=seed
     )

@@ -15,6 +15,7 @@ copy of the Higman-Thompson group F_d.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .cloning import CloningSystem, make_system
@@ -25,13 +26,14 @@ from .trees import (
     common_expansion,
     expand_at,
     expansion_path,
+    graft_forest,
     leaf,
     leaf_words,
     parse_tree,
     random_tree,
     removable_carets,
     right_spine,
-    transplant,
+    split_forest,
     tree_text,
     tree_union,
 )
@@ -261,29 +263,61 @@ def mul(x: Element, y: Element) -> Element:
 def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
     """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products.
 
-    Once x is expanded to (T', g', U') with both trees dominating A, the
-    conjugate is [B * (T'/A), g', B * (U'/A)], where B * (S/A) is
-    transplant(S, A, B): expanding f needs no group arithmetic, because
-    clone(1) = 1 (axiom C1) and rho(1) = id.  The expansion depends only
-    on A, so it is made once per left tree and shared by every f with it.
+    Once x is expanded to (T', g', U') with both trees dominating A, T' is A
+    with a forest F below its leaves and U' is A with a forest G, and the
+    conjugate is [B.F, g', B.G], B with the forest grafted on (graft_forest):
+    expanding f needs no group arithmetic, because clone(1) = 1 (axiom C1)
+    and rho(1) = id.  The expansion, the split and the collapses that can
+    ever apply depend only on A, so _conjugation_plan makes them once per
+    left tree.  Per f, reduce_triple runs only when B has the carets one of
+    those collapses needs; otherwise its first pass would collapse nothing
+    and the grafted triple is already reduced.
     """
     system = x.sys
-    expanded: dict[Tree, Triple] = {}
+    plans: dict[Tree, tuple] = {}
+    removable = lru_cache(maxsize=None)(removable_carets)  # per B, in this call
     for f in fs:
         if f.sys.name != system.name:
             raise SystemMismatch(f"cannot conjugate {system.name} by {f.sys.name}")
         if not f.in_fd():
             raise ValueError(f"conjugator {element_text(f)} is not in F_d")
         A, B = f.T, f.U
-        t = expanded.get(A)
-        if t is None:
-            t = x.triple()
-            for k in expansion_path(t.U, tree_union(t.U, A)):
-                t = expand_triple(t, k)
-            for j in expansion_path(t.T, tree_union(t.T, A)):
-                t = expand_left(t, j)
-            expanded[A] = t
-        yield Element(system, transplant(t.T, A, B), t.g, transplant(t.U, A, B))
+        plan = plans.get(A)
+        if plan is None:
+            plan = plans[A] = _conjugation_plan(x, A)
+        left, g, right, needs = plan
+        t = Triple(system, graft_forest(B, left), g, graft_forest(B, right))
+        if any(need <= removable(B) for need in needs):
+            t = reduce_triple(t)
+        yield Element(system, t.T, t.g, t.U, _raw=True)
+
+
+def _conjugation_plan(x: Element, A: Tree) -> tuple:
+    """(F, g', G, needs): x expanded over A, split into forests, and its collapses.
+
+    The removable carets of B.G sit at the sites of split_forest(U', A),
+    each there when B has the caret it needs; B.F likewise.  reduce_triple's
+    first pass collapses at a right site k when g0 = try_unclone(k, g')
+    exists and j = rho(g0)(k) is a left site, and neither depends on B.
+    needs holds, for each such (k, j), the carets of B both sites need.
+    """
+    system = x.sys
+    t = x.triple()
+    for k in expansion_path(t.U, tree_union(t.U, A)):
+        t = expand_triple(t, k)
+    for j in expansion_path(t.T, tree_union(t.T, A)):
+        t = expand_left(t, j)
+    left, left_sites = split_forest(t.T, A)
+    right, right_sites = split_forest(t.U, A)
+    n_small = t.n - (system.d - 1)
+    needs: set[frozenset[int]] = set()
+    for k, need in right_sites.items():
+        g0 = system.try_unclone(n_small, k, t.g)
+        if g0 is not None:
+            other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
+            if other is not None:
+                needs.add(need | other)
+    return left, t.g, right, needs
 
 
 def commutator(x: Element, y: Element) -> Element:

@@ -291,24 +291,56 @@ def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:
     return w, expansion_path(t, w), expansion_path(u, w)
 
 
+def split_forest(s: Tree, a: Tree) -> tuple[list[tuple[int, ...]], dict[int, frozenset[int]]]:
+    """The trees that s hangs below a's leaves, and where grafting them leaves carets.
+
+    s must dominate a.  Returns (forest, sites): forest[i] holds the leaf
+    depths of the tree below leaf i+1 of a, counted from that leaf ((0,)
+    where s keeps the leaf).  A removable caret of graft_forest(b, forest),
+    for b with a's leaf count, lies inside one of those trees, at its leaf
+    index in s, or is a caret of b whose d leaves keep trivial trees.
+    sites maps each such leaf index to the carets of b (by first leaf) it
+    needs: none, or that one.  One _closes scan: the tree below a leaf of
+    depth e ends at the first leaf of s after which at most e nodes stay open.
+    """
+    d, depths, stem = s.d, s.depths, a.depths
+    forest: list[tuple[int, ...]] = []
+    sites: dict[int, frozenset[int]] = {}
+    start = run = 0  # run: trivial trees in a row
+    for p, (e, c) in enumerate(zip(depths, _closes(d, depths))):
+        top = stem[len(forest)]
+        if p == start and e < top:
+            raise ValueError("the tree does not dominate the stem")
+        if c and e > top and depths[p - d + 1] == e:
+            sites[p - d + 2] = frozenset()
+        if e - c <= top:
+            run = run + 1 if p == start else 0
+            forest.append(tuple([x - top for x in depths[start : p + 1]]))
+            start = p + 1
+            if run >= d:
+                sites[p - d + 2] = frozenset((len(forest) - d + 1,))
+    return forest, sites
+
+
+def graft_forest(b: Tree, forest: list[tuple[int, ...]]) -> Tree:
+    """Glue forest[i] (as split_forest gives it) below leaf i+1 of b."""
+    # from a list, not a generator: tuple(generator) resizes its result, which
+    # then goes back to the free list of another size and piles up there
+    return _tree(b.d, tuple([e + x for e, tree in zip(b.depths, forest) for x in tree]))
+
+
 def transplant(s: Tree, a: Tree, b: Tree) -> Tree:
     """Graft onto b's leaves, in leaf order, the forest that s hangs below a's.
 
     s must dominate a, so s is a with a tree F_i glued at each leaf i; the
     result is b with F_i glued at its leaf i.  a and b need the same leaf
-    count.  The expansions that carry a onto s are replayed on b.
+    count.
     """
     if not s.d == a.d == b.d:
         raise ValueError("arity mismatch")
     if a.leaf_count != b.leaf_count:
         raise ValueError("leaf counts differ")
-    path, missing = _refine(s.d, list(a.depths), list(s.depths))
-    if missing:
-        raise ValueError("the tree does not dominate the stem")
-    depths = list(b.depths)
-    for k in path:
-        depths[k - 1 : k] = [depths[k - 1] + 1] * s.d
-    return _tree(s.d, tuple(depths))
+    return graft_forest(b, split_forest(s, a)[0])
 
 
 def agree_away_from(

@@ -55,10 +55,19 @@ def test_probe_failure_exit_one(capsys):
     assert doc["witnesses"]
 
 
-def test_probe_needs_property(capsys):
+def test_probe_needs_property(capsys, tmp_path):
     code, _, err = run_cli(capsys, "probe", "--system", "V")
     assert code == 2
     assert "property" in err
+    # one line naming the choices, from the flags or from a config
+    expected = (
+        "error: probe needs a property, one of pure, slightly_pure, "
+        "fully_compatible, uniform\n"
+    )
+    assert err == expected
+    config = tmp_path / "probe.json"
+    config.write_text(json.dumps({"experiment": "probe", "system": "V"}))
+    assert run_cli(capsys, "report", "--config", str(config)) == (2, "", expected)
 
 
 def test_unknown_system_exit_two(capsys):

@@ -36,12 +36,14 @@ from cloning_systems.trees import (
     caret,
     collapse_at,
     expand_at,
+    expansion_path,
     leaf,
     parse_tree,
     random_tree,
     removable_carets,
     right_spine,
     tree_text,
+    tree_union,
 )
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
@@ -371,6 +373,51 @@ def test_fd_conjugates_match_two_products(key):
     fs += [fs[0] * fs[1].inv(), fs[2] ** 3, fs[0]]
     for x in xs[:4]:
         assert list(fd_conjugates(x, fs)) == [_conjugate_oracle(x, f) for f in fs]
+
+
+def _grafted_conjugate(x, f):
+    """Reference for the unreduced f^-1 x f: x expanded over f's left tree A,
+    and the expansions from A to each tree replayed on f's right tree."""
+    t = x.triple()
+    for k in expansion_path(t.U, tree_union(t.U, f.T)):
+        t = expand_triple(t, k)
+    for j in expansion_path(t.T, tree_union(t.T, f.T)):
+        t = expand_left(t, j)
+
+    def replay(s):
+        b = f.U
+        for k in expansion_path(f.T, s):
+            b = expand_at(b, k)
+        return b
+
+    return Triple(x.sys, replay(t.T), t.g, replay(t.U))
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_fd_conjugates_reduce_exactly_the_triples_that_collapse(key, monkeypatch):
+    # the inputs of test_fd_conjugates_match_two_products
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2)
+    rng = random.Random(47)
+    xs = [random_element(system, rng, max_carets=4) for _ in range(32)]
+    xs += rng.sample(enumerate_fd_ball(system, 4 if system.d == 2 else 3).elements, 8)
+    reduced = []
+    monkeypatch.setattr(
+        thompson, "reduce_triple", lambda t: reduced.append(t) or reduce_triple(t)
+    )
+    shortcuts = 0
+    for x in xs:
+        conjugates = fd_conjugates(x, ball.elements)
+        for f in ball.elements:
+            calls = len(reduced)
+            next(conjugates)
+            t = _grafted_conjugate(x, f)
+            if len(reduced) == calls:  # the plan says: already reduced
+                assert reduce_triple(t) is t
+                shortcuts += 1
+            else:
+                assert reduced[-1] == t and reduce_triple(t) is not t
+    assert shortcuts and reduced
 
 
 def test_fd_conjugates_reject_conjugators_outside_fd():

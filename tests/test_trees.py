@@ -14,6 +14,7 @@ from cloning_systems.trees import (
     expand_at,
     expansion_path,
     graft,
+    graft_forest,
     leaf,
     leaf_index,
     leaf_word,
@@ -22,6 +23,7 @@ from cloning_systems.trees import (
     random_tree,
     removable_carets,
     right_spine,
+    split_forest,
     transplant,
     tree_text,
     tree_union,
@@ -371,6 +373,49 @@ def test_transplant_matches_expansion_replay(d):
 def test_transplant_rejects_other_arity():
     with pytest.raises(ValueError, match="arity"):
         transplant(caret(2), leaf(2), leaf(3))
+
+
+def _split_cases(d, rng):
+    """(s, a) pairs with s dominating a, and the edge cases by name."""
+    cases = []
+    for _ in range(150):
+        a = random_tree(d, rng.randint(0, 4), rng)
+        s = a
+        for _ in range(rng.randint(1, 6)):
+            s = expand_at(s, rng.randint(1, s.leaf_count))
+        cases.append((s, a))
+    for c in range(5):
+        a = random_tree(d, c, rng)
+        cases.append((a, a))  # s == a: every tree of the forest is trivial
+        cases.append((a, leaf(d)))  # a single leaf: the forest is s itself
+        cases.append((expand_at(expand_at(a, 1), 1), a))  # one nontrivial tree
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_split_and_graft_match_expansion_replay(d):
+    rng = random.Random(300 + d)
+    for s, a in _split_cases(d, rng):
+        forest, sites = split_forest(s, a)
+        assert len(forest) == a.leaf_count and graft_forest(a, forest) == s
+        if s == a:
+            assert forest == [(0,)] * a.leaf_count
+        if a.is_leaf:
+            assert forest == [s.depths]
+        # the sites every b keeps: the removable carets of s below a leaf of a
+        words_a, words_s = leaf_words(a), leaf_words(s)
+        assert {k for k, need in sites.items() if not need} == {
+            k
+            for k in removable_carets(s)
+            if any(w == words_s[k - 1][: len(w)] for w in words_a if len(w) < len(words_s[k - 1]))
+        }
+        # b: a itself and other shapes with a's leaf count
+        same_size = trees_with_carets(d, (a.leaf_count - 1) // (d - 1))
+        for b in {a, *rng.sample(same_size, min(4, len(same_size)))}:
+            grafted = graft_forest(b, forest)
+            assert grafted == transplant(s, a, b) == _replayed_transplant(s, a, b)
+            have = removable_carets(b)
+            assert removable_carets(grafted) == {k for k, need in sites.items() if need <= have}
 
 
 def test_arity_checks():
