@@ -136,10 +136,10 @@ def enumerate_fd_ball(
             break
         shapes = trees_with_carets(d, carets)
         ident = system.family.identity(n)
-        for T in shapes:
-            crT = removable_carets(T)
-            for U in shapes:
-                if crT & removable_carets(U):
+        carets_of = [removable_carets(s) for s in shapes]
+        for T, crT in zip(shapes, carets_of):
+            for U, crU in zip(shapes, carets_of):
+                if crT & crU:
                     continue
                 out.append(Element(system, T, ident, U, _raw=True))
                 if len(out) > max_elements:

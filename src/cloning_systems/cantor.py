@@ -176,49 +176,59 @@ class AutomatonElement:
     word is the identity: its sections, products and inverse are the
     elements at hand, so it costs no allocation and no exploration.  Fields
     are read-only by contract.
+
+    AutomatonElement(...) checks that every entry has arity d and names a
+    state of its machine, once, where a word enters.  Sections, products
+    and inverses of checked words only follow transitions, concatenate or
+    reverse, so step, *, inv and the tables' rules build theirs with
+    _automaton_element, which only simplifies.  A step that leaves the word
+    as it is returns the element itself, as every reflection step does.
     """
 
     __slots__ = ("d", "word")
 
     def __init__(self, d: int, word: Iterable[Entry] = ()):
-        simplified: list[Entry] = []
-        for entry in word:
-            machine, name, sign = entry
+        word = [tuple(entry) for entry in word]
+        for machine, name, _ in word:
             if machine.d != d:
                 raise ValueError("arity mismatch in automaton word")
-            if name in machine.trivial:
-                continue
             if name not in machine.states:
                 raise KeyError(name)
-            if simplified:
-                pm, pn, ps = simplified[-1]
-                if pm == machine and pn == name and ps == -sign:
-                    simplified.pop()
-                    continue
-            simplified.append((machine, name, sign))
         self.d = d
-        self.word = tuple(simplified)
+        self.word = _simplified(word)
 
     def step(self, letter: int) -> tuple[int, "AutomatonElement"]:
         """One level of the wreath recursion: output letter and section."""
         if not 1 <= letter <= self.d:
             raise ValueError(f"letter {letter} out of range 1..{self.d}")
-        if not self.word:
+        word = self.word
+        if len(word) == 1:
+            machine, name, sign = word[0]
+            rho, delta = machine.states[name]
+            if sign > 0:
+                out, nxt = rho[letter - 1], delta[letter - 1]
+            else:
+                out = rho.index(letter) + 1
+                nxt = delta[out - 1]
+            if nxt == name:
+                return out, self
+            return out, _automaton_element(self.d, ((machine, nxt, sign),))
+        if not word:
             return letter, self
         out = letter
         new_word: list[Entry] = []
-        for machine, name, sign in reversed(self.word):
+        for machine, name, sign in reversed(word):
             rho, delta = machine.states[name]
             if sign > 0:
-                nxt = delta[out - 1]
-                out = rho[out - 1]
+                out, nxt = rho[out - 1], delta[out - 1]
             else:
-                j = rho.index(out) + 1
-                nxt = delta[j - 1]
-                out = j
+                out = rho.index(out) + 1
+                nxt = delta[out - 1]
             new_word.append((machine, nxt, sign))
         new_word.reverse()
-        return out, AutomatonElement(self.d, new_word)
+        if tuple(new_word) == word:
+            return out, self
+        return out, _automaton_element(self.d, new_word)
 
     def apply_finite(self, word: Word) -> tuple[Word, "AutomatonElement"]:
         """Image of a finite word together with the section below it."""
@@ -245,13 +255,13 @@ class AutomatonElement:
             return other
         if not other.word:
             return self
-        return AutomatonElement(self.d, self.word + other.word)
+        return _automaton_element(self.d, self.word + other.word)
 
     def inv(self) -> "AutomatonElement":
         if not self.word:
             return self
-        return AutomatonElement(
-            self.d, tuple((m, n, -s) for m, n, s in reversed(self.word))
+        return _automaton_element(
+            self.d, [(m, n, -s) for m, n, s in reversed(self.word)]
         )
 
     def __eq__(self, other):
@@ -299,8 +309,32 @@ class AutomatonElement:
         return f"AutomatonElement({automaton_element_text(self)!r})"
 
 
+def _simplified(word: Iterable[Entry]) -> tuple[Entry, ...]:
+    """The word without trivial states and adjacent inverse pairs."""
+    out: list[Entry] = []
+    for entry in word:
+        machine, name, sign = entry
+        if name in machine.trivial:
+            continue
+        if out:
+            pm, pn, ps = out[-1]
+            if ps == -sign and pn == name and (pm is machine or pm == machine):
+                out.pop()
+                continue
+        out.append(entry)
+    return tuple(out)
+
+
+def _automaton_element(d: int, word: Iterable[Entry]) -> AutomatonElement:
+    """Trusted constructor: every entry must pass the checks of
+    AutomatonElement(...); the word is only simplified."""
+    e = object.__new__(AutomatonElement)
+    e.d, e.word = d, _simplified(word)
+    return e
+
+
 def identity_element(d: int) -> AutomatonElement:
-    return AutomatonElement(d)
+    return _automaton_element(d, ())
 
 
 def automaton_element_text(e: AutomatonElement) -> str:
@@ -538,7 +572,7 @@ def _try_merge(
     """The first candidate with root permutation last and sections equal to states."""
     entries = {(id(m), n): (m, n) for s in states for m, n, _ in s.word}
     candidates = [identity_element(d)] + [
-        AutomatonElement(d, ((*e, sign),)) for e in entries.values() for sign in (1, -1)
+        _automaton_element(d, ((*e, sign),)) for e in entries.values() for sign in (1, -1)
     ]
     for c in candidates:
         if c.root_perm() == last and all(

@@ -62,10 +62,7 @@ class Triple:
             raise ValueError("tree arity does not match the system")
         if T.leaf_count != U.leaf_count:
             raise ValueError("leaf counts differ")
-        if not system.family.contains(T.leaf_count, g):
-            raise ValueError(
-                f"middle element is not in {system.family.name} at level {T.leaf_count}"
-            )
+        _check_middle(system, T.leaf_count, g)
         self.sys = system
         self.T = T
         self.g = g
@@ -90,6 +87,11 @@ class Triple:
 
     def __repr__(self):
         return f"Triple({self.sys.name}, {tree_text(self.T)}, {self.g}, {tree_text(self.U)})"
+
+
+def _check_middle(system: CloningSystem, n: int, g) -> None:
+    if not system.family.contains(n, g):
+        raise ValueError(f"middle element is not in {system.family.name} at level {n}")
 
 
 def _triple(system: CloningSystem, T: Tree, g, U: Tree) -> Triple:
@@ -269,9 +271,10 @@ def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
     expanding f needs no group arithmetic, because clone(1) = 1 (axiom C1)
     and rho(1) = id.  The expansion, the split and the collapses that can
     ever apply depend only on A, so _conjugation_plan makes them once per
-    left tree.  Per f, reduce_triple runs only when B has the carets one of
-    those collapses needs; otherwise its first pass would collapse nothing
-    and the grafted triple is already reduced.
+    left tree, and checks g' once there for all the conjugates that share
+    it.  Per f, reduce_triple runs only when B has the carets one of those
+    collapses needs; otherwise its first pass would collapse nothing and
+    the grafted triple is already reduced.
     """
     system = x.sys
     plans: dict[Tree, tuple] = {}
@@ -286,7 +289,7 @@ def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
         if plan is None:
             plan = plans[A] = _conjugation_plan(x, A)
         left, g, right, needs = plan
-        t = Triple(system, graft_forest(B, left), g, graft_forest(B, right))
+        t = _triple(system, graft_forest(B, left), g, graft_forest(B, right))
         if any(need <= removable(B) for need in needs):
             t = reduce_triple(t)
         yield Element(system, t.T, t.g, t.U, _raw=True)
@@ -294,6 +297,9 @@ def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
 
 def _conjugation_plan(x: Element, A: Tree) -> tuple:
     """(F, g', G, needs): x expanded over A, split into forests, and its collapses.
+
+    g' is checked here with Triple(...)'s message, so a clone that leaves
+    the family is caught once per plan.
 
     The removable carets of B.G sit at the sites of split_forest(U', A),
     each there when B has the caret it needs; B.F likewise.  reduce_triple's
@@ -307,6 +313,7 @@ def _conjugation_plan(x: Element, A: Tree) -> tuple:
         t = expand_triple(t, k)
     for j in expansion_path(t.T, tree_union(t.T, A)):
         t = expand_left(t, j)
+    _check_middle(system, t.n, t.g)
     left, left_sites = split_forest(t.T, A)
     right, right_sites = split_forest(t.U, A)
     n_small = t.n - (system.d - 1)

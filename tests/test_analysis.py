@@ -91,6 +91,45 @@ def test_ball_sizes_before_reduction_follow_shape_counts():
         assert len(enumerate_fd_ball(V, L).elements) == reduced
 
 
+def _pairwise_fd_ball(system, radius):
+    """The ball as the pairwise loop built it, rescanning U for every (T, U)."""
+    from cloning_systems.trees import trees_with_carets
+
+    out = []
+    for carets in range(radius + 1):
+        shapes = trees_with_carets(system.d, carets)
+        ident = system.family.identity(carets * (system.d - 1) + 1)
+        for T in shapes:
+            for U in shapes:
+                if not removable_carets(T) & removable_carets(U):
+                    out.append(Element(system, T, ident, U, _raw=True))
+    return out
+
+
+@pytest.mark.parametrize(
+    "key, radius", [("F", 4), ("V", 4), ("V:3", 3), ("prod:F2:id,swap", 4)]
+)
+def test_ball_scans_each_shape_once_in_pairwise_order(key, radius, monkeypatch):
+    from cloning_systems import analysis
+    from cloning_systems.trees import trees_with_carets
+
+    system = make_system(key)
+    expected = _pairwise_fd_ball(system, radius)
+    scanned = []
+
+    def counting(t):
+        scanned.append(t)
+        return removable_carets(t)
+
+    monkeypatch.setattr(analysis, "removable_carets", counting)
+    ball = enumerate_fd_ball(system, radius)
+    assert ball.elements == tuple(expected) and not ball.truncated
+    shapes = [t for c in range(radius + 1) for t in trees_with_carets(system.d, c)]
+    assert scanned == shapes
+    cut = enumerate_fd_ball(system, radius, max_elements=len(expected) // 2)
+    assert cut.truncated and cut.elements == tuple(expected[: len(expected) // 2])
+
+
 def test_ball_truncation_guard():
     ball = enumerate_fd_ball(V, 4, max_elements=10)
     assert ball.truncated and len(ball.elements) == 10

@@ -183,6 +183,11 @@ def test_adding_machine_has_infinite_order_elements():
 def test_word_simplification_cancels_inverse_pairs():
     h = full_reflection(2)
     assert (h * h.inv()).word == ()
+    # equal machines cancel even when they are distinct objects
+    other = full_reflection(2)
+    assert other.word[0][0] is not h.word[0][0]
+    assert (h * other.inv()).word == ()
+    assert AutomatonElement(2, h.word + other.inv().word).word == ()
 
 
 def test_odometer_map_with_infinite_carry():
@@ -611,9 +616,22 @@ def test_identity_fast_paths_match_the_general_recursion(d):
     rng = random.Random(41 + d)
     elements = _random_elements(d, rng, 120)
     assert sum(not e.word for e in elements) >= 10
+    # the adding machine's carry-free letters step into its trivial state
+    carry = ((*range(2, d + 1), 1), ("e",) * (d - 1) + ("a",))
+    adder = Automaton(d, {"a": carry, "e": (range(1, d + 1), "e" * d)})
+    elements += [
+        AutomatonElement(d, [(adder, "a", s)] * k) for s in (1, -1) for k in (1, 2, 3)
+    ]
+    steps = {"inverse one-entry": 0, "into trivial": 0, "unchanged multi-entry": 0}
     for e in elements:
         for letter in range(1, d + 1):
-            assert e.step(letter) == _general_step(e, letter)
+            out, section = e.step(letter)
+            assert (out, section) == _general_step(e, letter)
+            if section.word == e.word:
+                assert section is e
+                steps["unchanged multi-entry"] += len(e.word) > 1
+            steps["inverse one-entry"] += len(e.word) == 1 and e.word[0][2] < 0
+            steps["into trivial"] += bool(e.word) and not section.word
         for _ in range(3):
             word = tuple(rng.randint(1, d) for _ in range(rng.randint(0, 5)))
             assert e.apply_finite(word) == _general_apply_finite(e, word)
@@ -626,6 +644,43 @@ def test_identity_fast_paths_match_the_general_recursion(d):
             assert x.equals(y) == _general_equals(x, y)
             equal += x.equals(y)
     assert len(elements) < equal < 4 * len(elements)
+    assert min(steps.values()) >= 2, steps
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_full_reflection_steps_to_itself(d):
+    h = full_reflection(d)
+    for letter in range(1, d + 1):
+        out, section = h.step(letter)
+        assert out == d + 1 - letter and section is h
+    assert h.apply_finite((1, d, 1))[1] is h
+
+
+def test_internal_words_skip_the_public_checks(monkeypatch):
+    rng = random.Random(59)
+    odometer = Automaton(2, {"a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))})
+    elements = _random_elements(2, rng, 40) + [
+        full_reflection(2),
+        AutomatonElement(2, ((odometer, "a", 1), (odometer, "a", -1), (odometer, "a", 1))),
+    ]
+    h = _reflection_map(2)
+    maps = [from_tree_pair(random_element(V, rng)) for _ in range(10)]
+    calls = []
+    init = AutomatonElement.__init__
+
+    def counting(self, d, word=()):
+        calls.append(d)
+        init(self, d, word)
+
+    monkeypatch.setattr(AutomatonElement, "__init__", counting)
+    for a, b in zip(elements, elements[1:]):
+        a.step(1), a.apply_finite((2, 1, 2)), a.inv(), a * b, a.is_identity()
+        a.equals(b), b.equals(a * b * b.inv())
+    for f, g in zip(maps, maps[1:]):
+        h.compose(f).compose(h).compose(g).invert().equals(g)
+    assert calls == []
+    AutomatonElement(2, elements[-1].word)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("d", (2, 3))

@@ -3,7 +3,11 @@ import random
 import pytest
 
 from cloning_systems import thompson
-from cloning_systems.analysis import enumerate_fd_ball, sample_nontrivial_elements
+from cloning_systems.analysis import (
+    conjugate_count,
+    enumerate_fd_ball,
+    sample_nontrivial_elements,
+)
 from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, SymmetricSystem, make_system
 from cloning_systems.groups import (
     UnsupportedError,
@@ -83,6 +87,30 @@ def test_a_clone_that_leaves_the_family_is_caught_at_the_product():
     y = fd_generator(system, 0)  # its left tree makes x expand at leaf 1
     with pytest.raises(ValueError, match=r"^middle element is not in C at level 3$"):
         x * y
+
+
+def test_fd_conjugates_check_each_left_trees_middle_once(monkeypatch):
+    # one family check per conjugation plan, with Triple(...)'s message
+    leaky, sound = _LeakyT(), make_system("T")
+    checked = []
+    for system in (leaky, sound):
+        contains = system.family.contains
+
+        def counting(n, g, contains=contains):
+            checked.append(n)
+            return contains(n, g)
+
+        monkeypatch.setattr(system.family, "contains", counting)
+    x = Element(leaky, caret(2), cycle_perm(2, (1, 2)), caret(2))
+    checked.clear()
+    with pytest.raises(ValueError, match=r"^middle element is not in C at level 4$"):
+        conjugate_count(x, enumerate_fd_ball(leaky, 2))
+    assert checked == [2, 4]  # the identity's plan, then the first leaking one
+    x = Element(sound, caret(2), cycle_perm(2, (1, 2)), caret(2))
+    ball = enumerate_fd_ball(sound, 3)
+    checked.clear()
+    assert conjugate_count(x, ball) > 1
+    assert len(checked) == len({f.T for f in ball.elements}) < len(ball.elements)
 
 
 def test_elements_refuse_new_attributes():
