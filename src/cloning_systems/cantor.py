@@ -391,7 +391,9 @@ class PrefixMap:
     normalize replaces d sibling rules by their parent on both sides, and
     from_tree_pair takes the leaf words of two trees.  So compose, invert,
     normalize, identity and from_tree_pair build theirs with _prefix_map,
-    unchecked.
+    unchecked.  compose, invert and normalize merge sibling rules in one
+    stack pass over the rules sorted by domain word (_normalize_rules),
+    whose fixed point does not depend on the input order.
     """
 
     __slots__ = ("d", "rules")
@@ -460,34 +462,38 @@ class PrefixMap:
         """The product self . other (other acts first)."""
         if self.d != other.d:
             raise ValueError("arity mismatch")
-        d = self.d
+        d, mine = self.d, self.rules
+        doms = [r[0] for r in mine]
         out: list[Rule] = []
         stack = list(other.rules)
         while stack:
             u, v, s = stack.pop()
-            hit = self.rule_at(v)
-            if hit is None:
+            # rule_at's bisect; i = -1 takes the largest word, > v, so no prefix
+            i = bisect_right(doms, v) - 1
+            w_plus, w_minus, t = mine[i]
+            if v[: len(w_plus)] != w_plus:
                 for a in range(1, d + 1):
                     o, sec = s.step(a)
                     stack.append((u + (a,), v + (o,), sec))
                 continue
-            w_plus, w_minus, t = hit
             rest = v[len(w_plus) :]
-            out_rest, t_section = t.apply_finite(rest)
-            out.append((u, w_minus + out_rest, t_section * s))
-        return _prefix_map(d, sorted(_normalize_rules(out, d), key=itemgetter(0)))
+            if t.word:
+                rest, t = t.apply_finite(rest)
+                s = t * s
+            out.append((u, w_minus + rest, s))
+        return _prefix_map(d, _normalize_rules(out, d))
 
     def __mul__(self, other: "PrefixMap") -> "PrefixMap":
         return self.compose(other)
 
     def invert(self) -> "PrefixMap":
-        rules = _normalize_rules([(v, u, s.inv()) for u, v, s in self.rules], self.d)
-        return _prefix_map(self.d, sorted(rules, key=itemgetter(0)))
+        return _prefix_map(
+            self.d, _normalize_rules([(v, u, s.inv()) for u, v, s in self.rules], self.d)
+        )
 
     def normalize(self) -> "PrefixMap":
         """Canonical table: merge sibling rules that expand a single rule."""
-        rules = _normalize_rules(self.rules, self.d)
-        return _prefix_map(self.d, sorted(rules, key=itemgetter(0)))
+        return _prefix_map(self.d, _normalize_rules(self.rules, self.d))
 
     def equals(self, other: "PrefixMap") -> bool:
         """Semantic equality: same action on every point.
@@ -505,12 +511,16 @@ class PrefixMap:
         i = j = 0
         while i < len(mine):  # both codes cover the space, so both end here
             (u1, v1, s1), (u2, v2, s2) = mine[i], theirs[j]
-            w = u1 if len(u1) >= len(u2) else u2
-            image1, section1 = s1.apply_finite(w[len(u1) :])
-            image2, section2 = s2.apply_finite(w[len(u2) :])
-            if v1 + image1 != v2 + image2 or not section1.equals(section2):
+            deeper = len(u1) >= len(u2)
+            w = u1 if deeper else u2
+            if s1.word or s2.word:
+                image1, section1 = s1.apply_finite(w[len(u1) :])
+                image2, section2 = s2.apply_finite(w[len(u2) :])
+                if v1 + image1 != v2 + image2 or not section1.equals(section2):
+                    return False
+            elif v1 + w[len(u1) :] != v2 + w[len(u2) :]:
                 return False
-            if len(u1) >= len(u2):
+            if deeper:
                 i += 1
                 if i == len(mine) or mine[i][0][: len(u2)] != u2:
                     j += 1
@@ -538,38 +548,42 @@ def _prefix_map(d: int, rules: Iterable[Rule]) -> PrefixMap:
 def _normalize_rules(rules: Iterable[Rule], d: int) -> list[Rule]:
     """Merge sibling rules that are the entry-expansion of a single rule.
 
-    Candidates for the merged state are the identity and the signed single
-    states occurring in the sibling rules; this recovers canonical tables
-    after compose/invert without searching arbitrary products.  A merge
-    deletes only its own d siblings and adds one rule, which can complete
-    no group but its parent's, so merges never block one another and one
-    worklist pass reaches the fixed point, whatever the order.
+    Candidates for the merged state are the identity (taken at once for
+    empty sections in order) and the signed single states occurring in the
+    sibling rules; this recovers canonical tables after compose/invert
+    without searching arbitrary products.  One stack pass over the rules
+    sorted by domain word merges bottom-up: siblings are adjacent there, so
+    once child d is pushed the top d rules are its group, each merged as
+    far as it goes, and a merge can complete only its parent's group,
+    checked next.  A rule never changes once it exists, so the fixed point,
+    returned sorted by domain word, does not depend on the input order.
     """
-    table = {u: (v, s) for u, v, s in rules}
-    todo = {u[:-1] for u in table if u}
-    while todo:
-        parent = todo.pop()
-        children = [parent + (a,) for a in range(1, d + 1)]
-        if not all(c in table for c in children):
-            continue
-        group = [table[c] for c in children]
-        v = group[0][0][:-1]
-        if any(not w or w[:-1] != v for w, _ in group):
-            continue
-        merged = _try_merge([s for _, s in group], tuple(w[-1] for w, _ in group), d)
-        if merged is not None:
-            for c in children:
-                del table[c]
-            table[parent] = (v, merged)
-            if parent:
-                todo.add(parent[:-1])
-    return [(u, v, s) for u, (v, s) in table.items()]
+    stack = []
+    for rule in sorted(rules, key=itemgetter(0)):
+        stack.append(rule)
+        while stack[-1][0][-1:] == (d,):
+            group = stack[-d:]
+            parent, v = stack[-1][0][:-1], group[0][1][:-1]
+            if any(
+                u != parent + (a,) or not w or w[:-1] != v
+                for a, (u, w, _) in enumerate(group, 1)
+            ):
+                break
+            merged = _try_merge(
+                [s for _, _, s in group], tuple(w[-1] for _, w, _ in group), d
+            )
+            if merged is None:
+                break
+            stack[-d:] = [(parent, v, merged)]
+    return stack
 
 
 def _try_merge(
     states: list[AutomatonElement], last: tuple[int, ...], d: int
 ) -> Optional[AutomatonElement]:
     """The first candidate with root permutation last and sections equal to states."""
+    if last == perm_identity(d) and not any(s.word for s in states):
+        return states[0]
     entries = {(id(m), n): (m, n) for s in states for m, n, _ in s.word}
     candidates = [identity_element(d)] + [
         _automaton_element(d, ((*e, sign),)) for e in entries.values() for sign in (1, -1)

@@ -263,11 +263,6 @@ def tree_union(t: Tree, u: Tree) -> Tree:
     return _tree(t.d, tuple(depths)) if grown else t
 
 
-def dominates(big: Tree, small: Tree) -> bool:
-    """True if big can be obtained from small by expansions."""
-    return tree_union(big, small) == big
-
-
 def expansion_path(t: Tree, target: Tree) -> list[int]:
     """Leaf indices whose successive expansion carries t onto target.
 
@@ -327,20 +322,6 @@ def graft_forest(b: Tree, forest: list[tuple[int, ...]]) -> Tree:
     # from a list, not a generator: tuple(generator) resizes its result, which
     # then goes back to the free list of another size and piles up there
     return _tree(b.d, tuple([e + x for e, tree in zip(b.depths, forest) for x in tree]))
-
-
-def transplant(s: Tree, a: Tree, b: Tree) -> Tree:
-    """Graft onto b's leaves, in leaf order, the forest that s hangs below a's.
-
-    s must dominate a, so s is a with a tree F_i glued at each leaf i; the
-    result is b with F_i glued at its leaf i.  a and b need the same leaf
-    count.
-    """
-    if not s.d == a.d == b.d:
-        raise ValueError("arity mismatch")
-    if a.leaf_count != b.leaf_count:
-        raise ValueError("leaf counts differ")
-    return graft_forest(b, split_forest(s, a)[0])
 
 
 def agree_away_from(

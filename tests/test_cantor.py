@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -847,6 +848,150 @@ def test_normalize_matches_restarting_loop(key):
             assert sorted(_normalize_rules(rules, table.d)) == expected
             merges += len(rules) - len(expected)
     assert merges >= 100
+
+
+def _reference_worklist_normalize(rules, d):
+    """The dict/set worklist the stack pass replaced: revisit the parent of
+    every merged group until no group merges; the result is unsorted."""
+    table = {u: (v, s) for u, v, s in rules}
+    todo = {u[:-1] for u in table if u}
+    while todo:
+        parent = todo.pop()
+        children = [parent + (a,) for a in range(1, d + 1)]
+        if not all(c in table for c in children):
+            continue
+        group = [(c, *table[c]) for c in children]
+        v = group[0][1][:-1]
+        if any(not w or w[:-1] != v for _, w, _ in group):
+            continue
+        merged = _reference_try_merge(group, [w[-1] for _, w, _ in group], d)
+        if merged is not None:
+            for c in children:
+                del table[c]
+            table[parent] = (v, merged)
+            if parent:
+                todo.add(parent[:-1])
+    return [(u, v, s) for u, (v, s) in table.items()]
+
+
+def _reference_compose(f, g):
+    """f . g as it was computed: rule_at for each rule of g, the general
+    wreath recursion, the worklist normalize, then a sort."""
+    out = []
+    stack = list(g.rules)
+    while stack:
+        u, v, s = stack.pop()
+        hit = f.rule_at(v)
+        if hit is None:
+            for a in range(1, f.d + 1):
+                o, section = _general_step(s, a)
+                stack.append((u + (a,), v + (o,), section))
+            continue
+        w_plus, w_minus, t = hit
+        image, t_section = _general_apply_finite(t, v[len(w_plus) :])
+        out.append((u, w_minus + image, _general_mul(t_section, s)))
+    return sorted(_reference_worklist_normalize(out, f.d), key=itemgetter(0))
+
+
+def _reference_invert(f):
+    rules = [(v, u, _general_inv(s)) for u, v, s in f.rules]
+    return sorted(_reference_worklist_normalize(rules, f.d), key=itemgetter(0))
+
+
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_compose_invert_normalize_match_the_worklist_oracle(key):
+    rng = random.Random(f"stack {key}")
+    tables = _random_tables(key, rng, 12)
+    h = _reflection_map(tables[0].d)
+    merged = searched = 0
+    for f, g in zip(tables, tables[1:] + tables[:1]):
+        # unnormal tables: rules split into their children
+        split_f, split_g, split_hf = f, g, h.compose(f)
+        for _ in range(rng.randint(1, 6)):
+            split_f = _split_rule(split_f, rng.randrange(len(split_f.rules)))
+            split_g = _split_rule(split_g, rng.randrange(len(split_g.rules)))
+            split_hf = _split_rule(split_hf, rng.randrange(len(split_hf.rules)))
+        for a, b in (
+            (f, g), (g, f), (f, f.invert()), (h, f), (f, h),
+            (split_f, split_g), (split_f, h), (h, split_g), (split_hf, split_g),
+        ):
+            assert a.compose(b).rules == tuple(_reference_compose(a, b))
+        for table in (f, split_f, split_g, split_hf):
+            assert table.invert().rules == tuple(_reference_invert(table))
+            normal = table.normalize()
+            assert normal.rules == tuple(
+                sorted(_reference_worklist_normalize(table.rules, table.d))
+            )
+            merges = len(table.rules) - len(normal.rules)
+            merged += merges
+            searched += merges * any(s.word for _, _, s in normal.rules)
+    # reflected children, under reversed letters, merge through the search
+    assert merged >= 50 and searched >= 20
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_identity_fast_paths_fire_only_on_empty_words(d):
+    h = full_reflection(d)
+    hh = AutomatonElement(d, h.word * 2)  # the identity, but not the empty word
+    e = identity_element(d)
+    assert len(hh.word) == 2 and hh.is_identity()
+    system = make_system(f"V:{d}")
+    rng = random.Random(67 + d)
+    f = from_tree_pair(random_element(system, rng))
+    while len(f.rules) < 3:
+        f = from_tree_pair(random_element(system, rng))
+    ident, twice, reflect = (PrefixMap(d, (((), (), s),)) for s in (e, hh, h))
+    f_twice = PrefixMap(d, [(u, v, hh) for u, v, _ in f.rules])
+    f_reflect = PrefixMap(d, [(u, v, h) for u, v, _ in f.rules])
+    # equals: h0 h0 acts as the identity; an empty word on one side only
+    # still needs the other side's section
+    for a, b in ((twice, ident), (f_twice, f), (_split_rule(twice, 0), ident)):
+        assert a.equals(b) and b.equals(a)
+    for a, b in ((reflect, ident), (f_reflect, f), (f_reflect, f_twice)):
+        assert not a.equals(b) and not b.equals(a)
+    # compose: a section h0 h0 is applied and multiplied in, so it stays
+    for a, b in ((twice, f), (f_twice, f), (f, f_twice), (f_twice, f_reflect)):
+        assert a.compose(b).rules == tuple(_reference_compose(a, b))
+    assert all(s == hh for _, _, s in twice.compose(f).rules)
+    # normalize: children h0 h0 in order merge to the empty word, as
+    # _try_merge decides; in reverse order they do not merge
+    for states in ([hh] * d, [e] + [hh] * (d - 1), [hh] + [e] * (d - 1)):
+        for letters in (range(1, d + 1), range(d, 0, -1)):
+            rules = [((a,), (b,), s) for a, b, s in zip(range(1, d + 1), letters, states)]
+            expected = _reference_normalize_rules(rules, d)
+            assert _normalize_rules(rules, d) == expected
+            assert (expected == [((), (), e)]) == (letters == range(1, d + 1))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_identity_fast_paths_skip_the_section_work(d, monkeypatch):
+    system = make_system(f"V:{d}")
+    rng = random.Random(71 + d)
+    f, g = (from_tree_pair(random_element(system, rng)) for _ in range(2))
+    calls = []
+    for name in ("apply_finite", "is_identity", "root_perm"):
+        method = getattr(AutomatonElement, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(AutomatonElement, name, counting)
+    # tables with only empty sections: no section is applied, compared or
+    # searched, and the identity merges still happen
+    assert len(f.compose(f.invert()).rules) == 1
+    assert f.compose(g).equals(f.compose(g).normalize())
+    assert _split_rule(f, 0).normalize().rules == f.rules
+    assert calls == []
+    # the fast paths are internal; the public identity still checks letters
+    with pytest.raises(ValueError, match=rf"^letter {d + 1} out of range 1\.\.{d}$"):
+        identity_element(d).apply_finite((1, d + 1))
+    assert calls == ["apply_finite"]
+    calls.clear()
+    h = _reflection_map(d)
+    h.compose(f).equals(f.compose(h))
+    _split_rule(h, 0).normalize()
+    assert {"apply_finite", "root_perm"} <= set(calls)
 
 
 @pytest.mark.parametrize(
