@@ -19,7 +19,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain, product
 from typing import Callable, Optional
 
 from . import analysis, cantor, cloning
@@ -315,19 +316,18 @@ def run_cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
     radius, budget, depth = params["radius"], params["budget"], params["depth"]
     rng = random.Random(seed)
     ball = enumerate_system_ball(system, radius)
-    pairs = [(x, y) for x in ball for y in ball]
     rng2 = random.Random(seed + 1)
     sampled = [
         (random_element(system, rng2), random_element(system, rng2))
         for _ in range(budget)
     ]
     points = [_random_point(system.d, depth, rng) for _ in range(8)]
+    table = lru_cache(maxsize=None)(cantor.from_tree_pair)  # per element, in this call
     checked = 0
     points_checked = 0
     failures = []
-    for x, y in pairs + sampled:
-        fx = cantor.from_tree_pair(x)
-        fy = cantor.from_tree_pair(y)
+    for x, y in chain(product(ball, repeat=2), sampled):
+        fx, fy = table(x), table(y)
         composed = fx.compose(fy)
         if not cantor.from_tree_pair(x * y).equals(composed):
             failures.append((element_text(x), element_text(y)))
@@ -341,14 +341,8 @@ def run_cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
                 points_checked += 1
             if failures:
                 break
-    order_ok = all(
-        cantor.is_order_preserving(cantor.from_tree_pair(x)) == x.in_fd()
-        for x in ball
-    )
-    inv_ok = all(
-        cantor.from_tree_pair(x.inv()).equals(cantor.from_tree_pair(x).invert())
-        for x in ball
-    )
+    order_ok = all(cantor.is_order_preserving(table(x)) == x.in_fd() for x in ball)
+    inv_ok = all(table(x.inv()).equals(table(x).invert()) for x in ball)
     ok = not failures and order_ok and inv_ok
     report = ExperimentReport(
         params=params,

@@ -358,11 +358,13 @@ def verify_axioms(
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
+    if not exhaustive and budget < 1:
+        raise ValueError(f"sampled sweep checks no instance at budget {budget}")
     rng = random.Random(seed)
     checked = {"C1": 0, "C2": 0, "C3": 0}
     for axiom in ("C1", "C2", "C3"):
         levels = [n for n in range(1, n_max + 1) if _axiom_supports_level(axiom, n)]
-        per_level = max(1, -(-budget // max(1, len(levels))))
+        per_level = -(-budget // max(1, len(levels)))
         for n in levels:
             if exhaustive:
                 instances = _axiom_instances_exhaustive(system, axiom, n)
@@ -466,6 +468,11 @@ def image_membership(system: CloningSystem, n: int, k: int, x) -> bool:
     return in_group and system.try_unclone(n, k, x) is not None
 
 
+def alternating_tuple(phi: Monomorphism, g, length: int) -> tuple:
+    """The tuple g, phi(g), g, ... of the given length."""
+    return tuple(g if i % 2 == 0 else phi.apply(g) for i in range(length))
+
+
 def _pattern_candidates(system: CloningSystem, n: int, rng, budget: int):
     """Witness candidates for the non-diversity families of product systems.
 
@@ -483,9 +490,8 @@ def _pattern_candidates(system: CloningSystem, n: int, rng, budget: int):
     for g in sample_gs:
         yield (g,) * big
     if system.d == 2 and system.monos[0].label == "id":
-        phi = system.monos[1]
         for g in sample_gs:
-            yield tuple(g if i % 2 == 0 else phi.apply(g) for i in range(big))
+            yield alternating_tuple(system.monos[1], g, big)
 
 
 def diversity_witness(

@@ -202,9 +202,6 @@ class FreeGroupAB(BaseGroup):
             out.append(ch)
         return "".join(out)
 
-    def elements(self):
-        return None
-
     def to_text(self, g):
         return g if g else "1"
 

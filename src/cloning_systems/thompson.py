@@ -381,13 +381,9 @@ def composite_inverse_closed_form(
     return value, alphas
 
 
-_V_SYSTEMS: dict[int, CloningSystem] = {}
-
-
+@lru_cache(maxsize=None)
 def v_system(d: int) -> CloningSystem:
-    if d not in _V_SYSTEMS:
-        _V_SYSTEMS[d] = make_system("V" if d == 2 else f"V:{d}")
-    return _V_SYSTEMS[d]
+    return make_system("V" if d == 2 else f"V:{d}")
 
 
 def pi_to_Vd(x: Element) -> Element:

@@ -7,7 +7,9 @@ with structural equality; leaves are numbered 1..n left to right, and
 vertices are addressed by words over {1,..,d} with the root at the empty
 word.  The canonical text form is preorder: "." for a leaf, "(c1...cd)" for
 a node, e.g. "((..).)" is the binary left comb on 3 leaves, depths (2, 2, 1).
-Every operation is a loop or a splice over the depths; none recurses.
+Every operation on a tree is a loop or a splice over the depths and does
+not recurse.  Only the enumerator recurses: trees_with_carets to a depth
+equal to its caret count, and _compositions to a depth of d.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ from cloning_systems.cloning import make_system
 from cloning_systems.groups import base_group_by_name, cycle_perm, mono_for
 from cloning_systems.thompson import (
     Element,
+    SystemMismatch,
     coset_key,
     fd_generator,
+    parse_element,
     random_element,
 )
 from cloning_systems.trees import (
@@ -209,6 +211,45 @@ def test_normalizer_v_swap_fails():
     assert not ok and witness is not None
     ok1, _ = normalizes_up_to(x, ball, one_sided=True)
     assert not ok1
+
+
+def _product_normalizes_up_to(x, ball, one_sided=False):
+    """The normalizer check by products: x^-1 f x and x f x^-1 tested in F_d."""
+    xi = x.inv()
+    for f in ball.elements:
+        if not (xi * f * x).in_fd():
+            return False, f
+        if not one_sided and not (x * f * xi).in_fd():
+            return False, f
+    return True, None
+
+
+def test_normalizer_matches_the_product_oracle():
+    second_direction = 0
+    for key in ALL_KEYS:
+        system = make_system(key)
+        ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2)
+        rng = random.Random(key)
+        xs = [random_element(system, rng) for _ in range(8)]
+        if key == "V:3":
+            # x^-1 f x is in F_d and x f x^-1 is not, at this first failing f
+            xs.append(parse_element(system, "[((...)..) ; [1,3,4,5,2] ; (.(...).)]"))
+        for x in xs:
+            for one_sided in (False, True):
+                got = normalizes_up_to(x, ball, one_sided=one_sided)
+                assert got == _product_normalizes_up_to(x, ball, one_sided)
+            ok, f = normalizes_up_to(x, ball)
+            if not ok and (x.inv() * f * x).in_fd():
+                second_direction += 1
+    assert second_direction >= 1
+
+
+def test_counts_refuse_a_ball_of_another_system():
+    x = fd_generator(V, 0)
+    ball = enumerate_fd_ball(make_system("T"), 2)
+    for check in (conjugate_count, coset_orbit_count, normalizes_up_to):
+        with pytest.raises(SystemMismatch):
+            check(x, ball)
 
 
 def test_coset_orbit_identity_class():

@@ -181,6 +181,26 @@ def test_adding_machine_has_infinite_order_elements():
     assert out2 == (1, 2, 1)
 
 
+def test_identity_test_raises_past_the_section_cap(monkeypatch):
+    # a and b are the same odometer under two names, so a b^-1 is the
+    # identity, but only exploring its sections (itself and the empty word)
+    # shows it
+    odo_a = Automaton(2, {"a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))})
+    odo_b = Automaton(2, {"b": ((2, 1), ("f", "b")), "f": ((1, 2), ("f", "f"))})
+    a = AutomatonElement(2, ((odo_a, "a", 1),))
+    b = AutomatonElement(2, ((odo_b, "b", 1),))
+    assert (a * b.inv()).is_identity() and a.equals(b)
+    monkeypatch.setattr(cantor, "MAX_SECTION_WORDS", 1)
+    with pytest.raises(UnsupportedError, match="section budget"):
+        (a * b.inv()).is_identity()
+    with pytest.raises(UnsupportedError, match="section budget"):
+        a.equals(b)
+    # syntactically equal words are equal without an identity test
+    monkeypatch.setattr(AutomatonElement, "is_identity", None)
+    ab = a * b.inv()
+    assert ab.equals(AutomatonElement(2, ab.word))
+
+
 def test_word_simplification_cancels_inverse_pairs():
     h = full_reflection(2)
     assert (h * h.inv()).word == ()

@@ -355,6 +355,7 @@ def _left_comb_element(depth):
         (None, ["conjugates", "--system", "F", "--radius", "1", "--budget", "100"]),
         (None, ["fpf", "--system", "prod:Z3:id,inv", "--n", "0"]),
         (None, ["verify-axioms", "--system", "V", "--n", "0"]),
+        (None, ["verify-axioms", "--system", "V", "--budget", "0"]),
         (None, ["probe", "pure", "--system", "V", "--n", "0"]),
         (None, ["conjugates", "--system", "V", "--radius", "0"]),
         (None, ["conjugates", "--system", "V", "--budget", "0"]),
@@ -383,6 +384,7 @@ def _left_comb_element(depth):
         "out-int", "flag-m-on-conjugates",
         "flag-radius-on-diversity", "flag-budget-on-mixing",
         "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
+        "verify-axioms-budget-zero",
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",
         "normalizer-budget-zero", "normalizer-truncated-ball",
         "normalizer-radius-zero", "fpf-m-zero", "fpf-n-past-depth-cap",

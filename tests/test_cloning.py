@@ -387,6 +387,16 @@ def test_sampled_probe_refuses_an_empty_budget():
     ] == "holds-exhaustive"
 
 
+def test_sampled_axiom_sweep_refuses_an_empty_budget():
+    with pytest.raises(ValueError, match="budget 0"):
+        verify_axioms(make_system("V"), n_max=4, budget=0)
+    # an exhaustive sweep ignores the budget
+    assert verify_axioms(make_system("V"), n_max=3, exhaustive=True, budget=0)["ok"]
+    # the budget is per axiom, split over the levels and rounded up
+    checked = verify_axioms(make_system("V"), n_max=3, budget=1000)["checked"]
+    assert checked == {"C1": 1002, "C2": 1000, "C3": 1000}
+
+
 def test_image_membership_identity_and_constant_tuples():
     for system in ALL_SYSTEMS:
         e = system.family.identity(3 + system.d - 1)
