@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .cloning import CloningSystem, ProductSystem, alternating_tuple, image_membership
@@ -22,6 +22,7 @@ from .groups import BaseGroup, Monomorphism, identity_mono, perm_apply
 from .thompson import (
     Element,
     coset_key,
+    fd_conjugate_keys,
     fd_conjugates,
     powers_closed_form,
     random_element,
@@ -77,18 +78,13 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(
-            experiment=doc["experiment"],
-            system=doc["system"],
-            params=doc["params"],
-            seed=doc["seed"],
-            series=doc.get("series", {}),
-            witnesses=doc.get("witnesses", []),
-            verdict=doc.get("verdict", "pass"),
-            evidence=doc.get("evidence", EVIDENCE_SAMPLED),
-            runtime_ms=doc.get("runtime_ms", 0),
-            schema_version=doc.get("schema_version", 1),
-        )
+        """Read a report back: the first four fields are required, a missing
+        later one takes its default, and unknown keys are ignored."""
+        names = [f.name for f in fields(cls)]
+        for name in names[:4]:
+            if name not in doc:
+                raise KeyError(name)
+        return cls(**{name: doc[name] for name in names if name in doc})
 
 
 @dataclass
@@ -159,11 +155,12 @@ def enumerate_system_ball(
 def conjugate_count(x: Element, ball: FdBall) -> int:
     """Number of distinct conjugates f^{-1} x f over f in the ball.
 
-    x is expanded and split into forests once per left tree of the ball;
-    each conjugate grafts them onto its right tree and is reduced only when
-    that tree has the carets a collapse needs (see fd_conjugates).
+    Each left tree's expansion of x is one step from its parent tree's;
+    each conjugate grafts its forests onto its right tree, is reduced only
+    when that tree has the carets a collapse needs, and is counted by its
+    depth key, with no Element built (see fd_conjugate_keys).
     """
-    return len(set(fd_conjugates(x, ball.elements)))
+    return len(set(fd_conjugate_keys(x, ball.elements)))
 
 
 def normalizes_up_to(

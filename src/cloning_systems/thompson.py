@@ -22,20 +22,20 @@ from .cloning import CloningSystem, make_system
 from .groups import UnsupportedError, perm_apply
 from .trees import (
     Tree,
+    _forest_sites,
+    _glue,
+    _root_subtrees,
+    _tree,
     collapse_at,
     common_expansion,
     expand_at,
-    expansion_path,
-    graft_forest,
     leaf,
     leaf_words,
     parse_tree,
     random_tree,
     removable_carets,
     right_spine,
-    split_forest,
     tree_text,
-    tree_union,
 )
 
 
@@ -263,68 +263,115 @@ def mul(x: Element, y: Element) -> Element:
 
 
 def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
-    """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products.
+    """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products."""
+    system, d = x.sys, x.sys.d
+    for T, g, U in fd_conjugate_keys(x, fs):
+        yield Element(system, _tree(d, T), g, _tree(d, U), _raw=True)
+
+
+def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
+    """(left depths, middle, right depths) of f^{-1} x f for each f = [A, 1, B] in fs.
 
     Once x is expanded to (T', g', U') with both trees dominating A, T' is A
     with a forest F below its leaves and U' is A with a forest G, and the
-    conjugate is [B.F, g', B.G], B with the forest grafted on (graft_forest):
-    expanding f needs no group arithmetic, because clone(1) = 1 (axiom C1)
-    and rho(1) = id.  The expansion, the split and the collapses that can
-    ever apply depend only on A, so _conjugation_plan makes them once per
+    conjugate is [B.F, g', B.G], B with the forest grafted on: expanding f
+    needs no group arithmetic, because clone(1) = 1 (axiom C1) and
+    rho(1) = id.  The expansion, the forests and the collapses that can
+    ever apply depend only on A, so _conjugation_plans makes them once per
     left tree, and checks g' once there for all the conjugates that share
     it.  Per f, reduce_triple runs only when B has the carets one of those
     collapses needs; otherwise its first pass would collapse nothing and
-    the grafted triple is already reduced.
+    the grafted triple is already reduced.  Within one system, equal keys
+    are equal conjugates, so counting them needs no Element.
     """
     system = x.sys
-    plans: dict[Tree, tuple] = {}
+    plan = _conjugation_plans(x)
     removable = lru_cache(maxsize=None)(removable_carets)  # per B, in this call
     for f in fs:
         if f.sys.name != system.name:
             raise SystemMismatch(f"cannot conjugate {system.name} by {f.sys.name}")
         if not f.in_fd():
             raise ValueError(f"conjugator {element_text(f)} is not in F_d")
-        A, B = f.T, f.U
-        plan = plans.get(A)
-        if plan is None:
-            plan = plans[A] = _conjugation_plan(x, A)
-        left, g, right, needs = plan
-        t = _triple(system, graft_forest(B, left), g, graft_forest(B, right))
-        if any(need <= removable(B) for need in needs):
-            t = reduce_triple(t)
-        yield Element(system, t.T, t.g, t.U, _raw=True)
+        left, g, right, needs = plan(f.T)
+        B = f.U
+        # tuple() of a list, not of a generator, which resizes its result
+        T = tuple([e + y for e, tree in zip(B.depths, left) for y in tree])
+        U = tuple([e + y for e, tree in zip(B.depths, right) for y in tree])
+        if needs and any(need <= removable(B) for need in needs):
+            t = reduce_triple(_triple(system, _tree(B.d, T), g, _tree(B.d, U)))
+            yield t.T.depths, t.g, t.U.depths
+        else:
+            yield T, g, U
 
 
-def _conjugation_plan(x: Element, A: Tree) -> tuple:
-    """(F, g', G, needs): x expanded over A, split into forests, and its collapses.
+def _conjugation_plans(x: Element):
+    """A -> (F, g', G, needs) for this x: the expansion over A, its forests, its collapses.
 
-    g' is checked here with Triple(...)'s message, so a clone that leaves
-    the family is caught once per plan.
+    F and G are the forests that T' and U' hang below A's leaves, in the
+    format of trees._glue.  A's expansion is one step from that over its
+    parent P, A with the caret at its first deepest leaf i cut: that leaf is
+    a first child, and its d - 1 siblings are leaves.  The least expansion
+    whose trees both dominate A dominates the least one over P, and A has
+    one caret more, so each side misses at most one caret: at leaf i of P
+    below U' when G_i is trivial (its rho-partner falls into F), then the
+    mirror caret below T' when F_i still is.  Entry i of both forests then
+    splits into its d root subtrees.  Each expansion is kept in states, so
+    a call makes at most two expand_triple per tree.
 
-    The removable carets of B.G sit at the sites of split_forest(U', A),
-    each there when B has the caret it needs; B.F likewise.  reduce_triple's
-    first pass collapses at a right site k when g0 = try_unclone(k, g')
-    exists and j = rho(g0)(k) is a left site, and neither depends on B.
-    needs holds, for each such (k, j), the carets of B both sites need.
+    A removable caret of B.G lies inside a tree of G, or is a caret of B
+    over d trivial trees in a row, and then needs that caret of B; B.F
+    likewise (trees._forest_sites).  reduce_triple's first pass collapses
+    at a right site k when g0 = try_unclone(k, g') exists and j = rho(g0)(k)
+    is a left site, and neither depends on B.  needs holds, for each such
+    (k, j), the carets of B both sites need.  g' is checked once per A with
+    Triple(...)'s message, so a clone that leaves the family is caught.
     """
-    system = x.sys
-    t = x.triple()
-    for k in expansion_path(t.U, tree_union(t.U, A)):
-        t = expand_triple(t, k)
-    for j in expansion_path(t.T, tree_union(t.T, A)):
-        t = expand_left(t, j)
-    _check_middle(system, t.n, t.g)
-    left, left_sites = split_forest(t.T, A)
-    right, right_sites = split_forest(t.U, A)
-    n_small = t.n - (system.d - 1)
-    needs: set[frozenset[int]] = set()
-    for k, need in right_sites.items():
-        g0 = system.try_unclone(n_small, k, t.g)
-        if g0 is not None:
-            other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
-            if other is not None:
-                needs.add(need | other)
-    return left, t.g, right, needs
+    system, d = x.sys, x.sys.d
+    states = {leaf(d): (x.triple(), [x.T.depths], [x.U.depths])}
+    carets_in = lru_cache(maxsize=None)(lambda tree: removable_carets(_tree(d, tree)))
+
+    def expand(t: Triple, k: int, j: int, left: list, right: list) -> Triple:
+        _glue(left, j, d)  # j = rho(g)(k), where expand_triple puts the left caret
+        _glue(right, k, d)
+        return expand_triple(t, k)
+
+    def expanded_over(A: Tree) -> tuple:
+        chain = []
+        while A not in states:
+            depths = A.depths
+            i = depths.index(max(depths))
+            chain.append((A, i))
+            A = _tree(d, depths[:i] + (depths[i] - 1,) + depths[i + d :])
+        t, left, right = states[A]
+        for A, i in reversed(chain):
+            left, right = left[:], right[:]
+            if right[i] == (0,):
+                k = sum(map(len, right[:i])) + 1
+                t = expand(t, k, perm_apply(system.rho(t.n, t.g), k), left, right)
+            if left[i] == (0,):
+                j = sum(map(len, left[:i])) + 1
+                t = expand(t, system.rho(t.n, t.g).index(j) + 1, j, left, right)
+            for forest in (left, right):
+                forest[i : i + 1] = _root_subtrees(forest[i], d)
+            states[A] = t, left, right
+        return t, left, right
+
+    @lru_cache(maxsize=None)
+    def plan(A: Tree) -> tuple:
+        t, left, right = expanded_over(A)
+        _check_middle(system, t.n, t.g)
+        left_sites = _forest_sites(left, d, carets_in)
+        n_small = t.n - (d - 1)
+        needs: set[frozenset[int]] = set()
+        for k, need in _forest_sites(right, d, carets_in).items():
+            g0 = system.try_unclone(n_small, k, t.g)
+            if g0 is not None:
+                other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
+                if other is not None:
+                    needs.add(need | other)
+        return left, t.g, right, needs
+
+    return plan
 
 
 def commutator(x: Element, y: Element) -> Element:

@@ -288,42 +288,56 @@ def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:
     return w, expansion_path(t, w), expansion_path(u, w)
 
 
-def split_forest(s: Tree, a: Tree) -> tuple[list[tuple[int, ...]], dict[int, frozenset[int]]]:
-    """The trees that s hangs below a's leaves, and where grafting them leaves carets.
+# A forest below a tree a lists, per leaf of a, the leaf depths of the tree
+# hanging there, counted from that leaf ((0,) where nothing hangs).  Grafting
+# it onto b, a tree with a's leaf count, adds each leaf's depth in b.
 
-    s must dominate a.  Returns (forest, sites): forest[i] holds the leaf
-    depths of the tree below leaf i+1 of a, counted from that leaf ((0,)
-    where s keeps the leaf).  A removable caret of graft_forest(b, forest),
-    for b with a's leaf count, lies inside one of those trees, at its leaf
-    index in s, or is a caret of b whose d leaves keep trivial trees.
-    sites maps each such leaf index to the carets of b (by first leaf) it
-    needs: none, or that one.  One _closes scan: the tree below a leaf of
-    depth e ends at the first leaf of s after which at most e nodes stay open.
+
+def _root_subtrees(depths: tuple, d: int) -> list:
+    """The d subtrees below the root of a tree that is not a leaf, as leaf depths.
+
+    The leaves of one subtree, at depths e, fill it exactly: sum d^-(e-1) = 1.
     """
-    d, depths, stem = s.d, s.depths, a.depths
-    forest: list[tuple[int, ...]] = []
+    deep = max(depths)
+    full, fill, start, out = d ** (deep - 1), 0, 0, []
+    for p, e in enumerate(depths):
+        fill += d ** (deep - e)
+        if fill == full:
+            out.append(tuple([x - 1 for x in depths[start : p + 1]]))
+            start, fill = p + 1, 0
+    return out
+
+
+def _glue(forest: list, p: int, d: int) -> None:
+    """Glue a caret onto leaf p of the forest, counting leaves across its trees."""
+    for m, tree in enumerate(forest):
+        if p <= len(tree):
+            forest[m] = tree[: p - 1] + (tree[p - 1] + 1,) * d + tree[p:]
+            return
+        p -= len(tree)
+
+
+def _forest_sites(forest: list, d: int, carets_in) -> dict[int, frozenset[int]]:
+    """Where the forest grafted onto some b can have removable carets.
+
+    Maps each such leaf index to the carets of b (by first leaf) it needs:
+    none for a caret inside a tree of the forest (carets_in gives a tree's
+    removable carets from its depths), or the caret of b above d trivial
+    trees in a row.
+    """
     sites: dict[int, frozenset[int]] = {}
-    start = run = 0  # run: trivial trees in a row
-    for p, (e, c) in enumerate(zip(depths, _closes(d, depths))):
-        top = stem[len(forest)]
-        if p == start and e < top:
-            raise ValueError("the tree does not dominate the stem")
-        if c and e > top and depths[p - d + 1] == e:
-            sites[p - d + 2] = frozenset()
-        if e - c <= top:
-            run = run + 1 if p == start else 0
-            forest.append(tuple([x - top for x in depths[start : p + 1]]))
-            start = p + 1
+    offset = run = 0  # run: trivial trees in a row
+    for m, tree in enumerate(forest, 1):
+        if len(tree) == 1:
+            run += 1
             if run >= d:
-                sites[p - d + 2] = frozenset((len(forest) - d + 1,))
-    return forest, sites
-
-
-def graft_forest(b: Tree, forest: list[tuple[int, ...]]) -> Tree:
-    """Glue forest[i] (as split_forest gives it) below leaf i+1 of b."""
-    # from a list, not a generator: tuple(generator) resizes its result, which
-    # then goes back to the free list of another size and piles up there
-    return _tree(b.d, tuple([e + x for e, tree in zip(b.depths, forest) for x in tree]))
+                sites[offset + 2 - d] = frozenset((m + 1 - d,))
+        else:
+            run = 0
+            for r in carets_in(tree):
+                sites[offset + r] = frozenset()
+        offset += len(tree)
+    return sites
 
 
 def agree_away_from(

@@ -5,6 +5,7 @@ import pytest
 
 from cloning_systems.analysis import (
     EVIDENCE_EXHAUSTIVE,
+    EVIDENCE_SAMPLED,
     ExperimentReport,
     conjugate_count,
     coset_orbit_count,
@@ -502,6 +503,29 @@ def test_report_json_roundtrip():
     assert ExperimentReport.from_dict(doc).to_dict() == report.to_dict()
     stable = report.to_json(include_runtime=False)
     assert "runtime_ms" not in stable
+
+
+def test_report_from_dict_needs_the_four_identifying_keys():
+    doc = {"experiment": "growth", "system": "V", "params": {}, "seed": 3}
+    for key in doc:
+        with pytest.raises(KeyError, match=key):
+            ExperimentReport.from_dict({k: v for k, v in doc.items() if k != key})
+
+
+def test_report_from_dict_fills_missing_optional_keys_with_defaults():
+    doc = {"experiment": "growth", "system": "V", "params": {"radius": 2}, "seed": 3}
+    assert ExperimentReport.from_dict(doc) == ExperimentReport(**doc)
+    report = ExperimentReport.from_dict({**doc, "verdict": "fail", "runtime_ms": 5})
+    assert (report.verdict, report.runtime_ms) == ("fail", 5)
+    assert (report.evidence, report.schema_version) == (EVIDENCE_SAMPLED, 1)
+    assert report.series == {} and report.witnesses == []
+
+
+def test_report_from_dict_ignores_unknown_keys():
+    doc = {"experiment": "growth", "system": "V", "params": {}, "seed": 3}
+    assert ExperimentReport.from_dict({**doc, "metrics": {"products": 9}}) == (
+        ExperimentReport.from_dict(doc)
+    )
 
 
 def test_sampler_rejects_trivial_and_respects_filters():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cloning_systems import thompson
+from cloning_systems import thompson, trees
 from cloning_systems.analysis import (
     conjugate_count,
     enumerate_fd_ball,
@@ -49,6 +49,7 @@ from cloning_systems.trees import (
     tree_text,
     tree_union,
 )
+from test_trees import split_forest
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 V = make_system("V")
@@ -446,6 +447,71 @@ def test_fd_conjugates_reduce_exactly_the_triples_that_collapse(key, monkeypatch
             else:
                 assert reduced[-1] == t and reduce_triple(t) is not t
     assert shortcuts and reduced
+
+
+def _conjugation_plan(x, A):
+    """Oracle for _conjugation_plans(x)(A): x expanded over A from x itself,
+    split with split_forest, and the collapses that can ever apply."""
+    system = x.sys
+    t = x.triple()
+    for k in expansion_path(t.U, tree_union(t.U, A)):
+        t = expand_triple(t, k)
+    for j in expansion_path(t.T, tree_union(t.T, A)):
+        t = expand_left(t, j)
+    thompson._check_middle(system, t.n, t.g)
+    left, left_sites = split_forest(t.T, A)
+    right, right_sites = split_forest(t.U, A)
+    n_small = t.n - (system.d - 1)
+    needs = set()
+    for k, need in right_sites.items():
+        g0 = system.try_unclone(n_small, k, t.g)
+        if g0 is not None:
+            other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
+            if other is not None:
+                needs.add(need | other)
+    return left, t.g, right, needs
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_plans_from_the_parent_match_the_plan_from_x(key):
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 4 if system.d == 2 else 3)
+    trees_a = list(dict.fromkeys(f.T for f in ball.elements))
+    rng = random.Random(53)
+    xs = [random_element(system, rng, max_carets=3) for _ in range(6)]
+    collapses = 0
+    for x in xs:
+        want = {A: _conjugation_plan(x, A) for A in trees_a}
+        collapses += sum(bool(plan[3]) for plan in want.values())
+        # ball order reaches each parent first; reversed, one tree the whole chain
+        for order in (trees_a, trees_a[::-1]):
+            plan = thompson._conjugation_plans(x)
+            assert {A: plan(A) for A in order} == want
+    assert collapses
+
+
+@pytest.mark.parametrize("key", ["V", "prod:F2:id,swap", "V:3", "T"])
+def test_conjugate_count_counts_the_distinct_conjugates(key):
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 3)
+    for x in sample_nontrivial_elements(system, 6, random.Random(59)):
+        assert conjugate_count(x, ball) == len(set(fd_conjugates(x, ball.elements)))
+
+
+def test_fd_conjugates_replay_no_expansion_path(monkeypatch):
+    ball = enumerate_fd_ball(V, 4)
+    xs = sample_nontrivial_elements(V, 4, random.Random(61), max_carets=3)
+    want = [list(fd_conjugates(x, ball.elements)) for x in xs]
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for module, name in (
+        (trees, "tree_union"), (trees, "expansion_path"), (thompson, "expand_left")
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert not hasattr(trees, "split_forest") and not hasattr(thompson, "split_forest")
+    assert [list(fd_conjugates(x, ball.elements)) for x in xs] == want
 
 
 def test_fd_conjugates_reject_conjugators_outside_fd():

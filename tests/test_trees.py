@@ -6,6 +6,11 @@ from hypothesis import given, strategies as st
 from cloning_systems.trees import (
     MAX_TREE_DEPTH,
     Tree,
+    _closes,
+    _forest_sites,
+    _glue,
+    _root_subtrees,
+    _tree,
     agree_away_from,
     caret,
     collapse_at,
@@ -13,7 +18,6 @@ from cloning_systems.trees import (
     expand_at,
     expansion_path,
     graft,
-    graft_forest,
     leaf,
     leaf_index,
     leaf_word,
@@ -22,7 +26,6 @@ from cloning_systems.trees import (
     random_tree,
     removable_carets,
     right_spine,
-    split_forest,
     tree_text,
     tree_union,
     trees_with_carets,
@@ -38,6 +41,42 @@ def transplant(s, a, b):
     """Oracle: graft onto b's leaves, in leaf order, the forest that s hangs
     below a's; s must dominate a, and a and b need the same leaf count."""
     return graft_forest(b, split_forest(s, a)[0])
+
+
+def split_forest(s, a):
+    """Oracle: the trees that s hangs below a's leaves, and where grafting them leaves carets.
+
+    s must dominate a.  Returns (forest, sites): forest[i] holds the leaf
+    depths of the tree below leaf i+1 of a, counted from that leaf ((0,)
+    where s keeps the leaf).  A removable caret of graft_forest(b, forest),
+    for b with a's leaf count, lies inside one of those trees, at its leaf
+    index in s, or is a caret of b whose d leaves keep trivial trees.
+    sites maps each such leaf index to the carets of b (by first leaf) it
+    needs: none, or that one.  One _closes scan: the tree below a leaf of
+    depth e ends at the first leaf of s after which at most e nodes stay open.
+    """
+    d, depths, stem = s.d, s.depths, a.depths
+    forest: list[tuple[int, ...]] = []
+    sites: dict[int, frozenset[int]] = {}
+    start = run = 0  # run: trivial trees in a row
+    for p, (e, c) in enumerate(zip(depths, _closes(d, depths))):
+        top = stem[len(forest)]
+        if p == start and e < top:
+            raise ValueError("the tree does not dominate the stem")
+        if c and e > top and depths[p - d + 1] == e:
+            sites[p - d + 2] = frozenset()
+        if e - c <= top:
+            run = run + 1 if p == start else 0
+            forest.append(tuple([x - top for x in depths[start : p + 1]]))
+            start = p + 1
+            if run >= d:
+                sites[p - d + 2] = frozenset((len(forest) - d + 1,))
+    return forest, sites
+
+
+def graft_forest(b, forest):
+    """Oracle: glue forest[i] (as split_forest gives it) below leaf i+1 of b."""
+    return _tree(b.d, tuple([e + x for e, tree in zip(b.depths, forest) for x in tree]))
 
 
 def test_leaf_and_caret_counts():
@@ -410,6 +449,17 @@ def test_split_and_graft_match_expansion_replay(d):
             for k in removable_carets(s)
             if any(w == words_s[k - 1][: len(w)] for w in words_a if len(w) < len(words_s[k - 1]))
         }
+        # the forest operations of fd_conjugate_keys, against the cut
+        carets_in = lambda tree: removable_carets(_tree(d, tree))  # noqa: E731
+        assert _forest_sites(forest, d, carets_in) == sites
+        for tree in forest:
+            if len(tree) > 1:
+                kids = _tree(d, tree).children
+                assert _root_subtrees(tree, d) == [c.depths for c in kids]
+        p = rng.randint(1, s.leaf_count)
+        glued = list(forest)
+        _glue(glued, p, d)
+        assert glued == split_forest(expand_at(s, p), a)[0]
         # b: a itself and other shapes with a's leaf count
         same_size = trees_with_carets(d, (a.leaf_count - 1) // (d - 1))
         for b in {a, *rng.sample(same_size, min(4, len(same_size)))}:
