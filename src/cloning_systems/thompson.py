@@ -22,20 +22,22 @@ from .cloning import CloningSystem, make_system
 from .groups import UnsupportedError, perm_apply
 from .trees import (
     Tree,
-    _forest_sites,
-    _glue,
-    _root_subtrees,
     _tree,
     collapse_at,
     common_expansion,
     expand_at,
+    forest_sites,
+    glue_caret,
+    graft_forest,
     leaf,
     leaf_words,
     parse_tree,
     random_tree,
     removable_carets,
     right_spine,
+    root_subtrees,
     tree_text,
+    trivial_leaf,
 )
 
 
@@ -294,9 +296,7 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
             raise ValueError(f"conjugator {element_text(f)} is not in F_d")
         left, g, right, needs = plan(f.T)
         B = f.U
-        # tuple() of a list, not of a generator, which resizes its result
-        T = tuple([e + y for e, tree in zip(B.depths, left) for y in tree])
-        U = tuple([e + y for e, tree in zip(B.depths, right) for y in tree])
+        T, U = graft_forest(B.depths, left), graft_forest(B.depths, right)
         if needs and any(need <= removable(B) for need in needs):
             t = reduce_triple(_triple(system, _tree(B.d, T), g, _tree(B.d, U)))
             yield t.T.depths, t.g, t.U.depths
@@ -307,33 +307,33 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
 def _conjugation_plans(x: Element):
     """A -> (F, g', G, needs) for this x: the expansion over A, its forests, its collapses.
 
-    F and G are the forests that T' and U' hang below A's leaves, in the
-    format of trees._glue.  A's expansion is one step from that over its
-    parent P, A with the caret at its first deepest leaf i cut: that leaf is
-    a first child, and its d - 1 siblings are leaves.  The least expansion
-    whose trees both dominate A dominates the least one over P, and A has
-    one caret more, so each side misses at most one caret: at leaf i of P
-    below U' when G_i is trivial (its rho-partner falls into F), then the
-    mirror caret below T' when F_i still is.  Entry i of both forests then
-    splits into its d root subtrees.  Each expansion is kept in states, so
-    a call makes at most two expand_triple per tree.
+    F and G are the forests (in the format of trees.graft_forest) that T'
+    and U' hang below A's leaves.  A's expansion is one step from that over
+    its parent P, A with the caret at its first deepest leaf i cut: that
+    leaf is a first child, and its d - 1 siblings are leaves.  The least
+    expansion whose trees both dominate A dominates the least one over P,
+    and A has one caret more, so each side misses at most one caret: at
+    leaf i of P below U' when G_i is trivial (its rho-partner falls into
+    F), then the mirror caret below T' when F_i still is.  Entry i of both
+    forests then splits into its d root subtrees.  Each expansion is kept
+    in states as (n, g', F, G), so a call clones at most twice per tree.
 
     A removable caret of B.G lies inside a tree of G, or is a caret of B
     over d trivial trees in a row, and then needs that caret of B; B.F
-    likewise (trees._forest_sites).  reduce_triple's first pass collapses
+    likewise (trees.forest_sites).  reduce_triple's first pass collapses
     at a right site k when g0 = try_unclone(k, g') exists and j = rho(g0)(k)
     is a left site, and neither depends on B.  needs holds, for each such
     (k, j), the carets of B both sites need.  g' is checked once per A with
     Triple(...)'s message, so a clone that leaves the family is caught.
     """
     system, d = x.sys, x.sys.d
-    states = {leaf(d): (x.triple(), [x.T.depths], [x.U.depths])}
-    carets_in = lru_cache(maxsize=None)(lambda tree: removable_carets(_tree(d, tree)))
+    states = {leaf(d): (x.n, x.g, [x.T.depths], [x.U.depths])}
 
-    def expand(t: Triple, k: int, j: int, left: list, right: list) -> Triple:
-        _glue(left, j, d)  # j = rho(g)(k), where expand_triple puts the left caret
-        _glue(right, k, d)
-        return expand_triple(t, k)
+    def expand(n: int, g, k: int, j: int, left: list, right: list) -> tuple:
+        """expand_triple at leaf k, with j = rho(g)(k), on the forests."""
+        glue_caret(d, left, j)
+        glue_caret(d, right, k)
+        return n + d - 1, system.clone(n, k, g)
 
     def expanded_over(A: Tree) -> tuple:
         chain = []
@@ -342,34 +342,34 @@ def _conjugation_plans(x: Element):
             i = depths.index(max(depths))
             chain.append((A, i))
             A = _tree(d, depths[:i] + (depths[i] - 1,) + depths[i + d :])
-        t, left, right = states[A]
+        n, g, left, right = states[A]
         for A, i in reversed(chain):
             left, right = left[:], right[:]
-            if right[i] == (0,):
-                k = sum(map(len, right[:i])) + 1
-                t = expand(t, k, perm_apply(system.rho(t.n, t.g), k), left, right)
-            if left[i] == (0,):
-                j = sum(map(len, left[:i])) + 1
-                t = expand(t, system.rho(t.n, t.g).index(j) + 1, j, left, right)
+            k = trivial_leaf(right, i)
+            if k:
+                n, g = expand(n, g, k, perm_apply(system.rho(n, g), k), left, right)
+            j = trivial_leaf(left, i)
+            if j:
+                n, g = expand(n, g, system.rho(n, g).index(j) + 1, j, left, right)
             for forest in (left, right):
-                forest[i : i + 1] = _root_subtrees(forest[i], d)
-            states[A] = t, left, right
-        return t, left, right
+                forest[i : i + 1] = root_subtrees(d, forest[i])
+            states[A] = n, g, left, right
+        return n, g, left, right
 
     @lru_cache(maxsize=None)
     def plan(A: Tree) -> tuple:
-        t, left, right = expanded_over(A)
-        _check_middle(system, t.n, t.g)
-        left_sites = _forest_sites(left, d, carets_in)
-        n_small = t.n - (d - 1)
+        n, g, left, right = expanded_over(A)
+        _check_middle(system, n, g)
+        left_sites = forest_sites(d, left)
+        n_small = n - (d - 1)
         needs: set[frozenset[int]] = set()
-        for k, need in _forest_sites(right, d, carets_in).items():
-            g0 = system.try_unclone(n_small, k, t.g)
+        for k, need in forest_sites(d, right).items():
+            g0 = system.try_unclone(n_small, k, g)
             if g0 is not None:
                 other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
                 if other is not None:
                     needs.add(need | other)
-        return left, t.g, right, needs
+        return left, g, right, needs
 
     return plan
 

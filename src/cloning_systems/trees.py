@@ -50,12 +50,7 @@ class Tree:
         """The d subtrees below the root (() for a leaf), cut from the depths."""
         if self.is_leaf:
             return ()
-        kids, start = [], 0
-        for i, (e, c) in enumerate(zip(self.depths, _closes(self.d, self.depths))):
-            if e - c <= 1:  # back at the root: a child ends at leaf i
-                kids.append(_tree(self.d, tuple(x - 1 for x in self.depths[start : i + 1])))
-                start = i + 1
-        return tuple(kids)
+        return tuple(_tree(self.d, kid) for kid in root_subtrees(self.d, self.depths))
 
     def __hash__(self):
         return self._hash
@@ -92,6 +87,16 @@ def _closes(d: int, depths) -> list[int]:
             stack[-1] -= 1
         out.append(e - stack[-1])
     return out
+
+
+def root_subtrees(d: int, depths: tuple) -> list[tuple[int, ...]]:
+    """The d subtrees below the root of a tree that is not a leaf, as leaf depths."""
+    kids, start = [], 0
+    for i, (e, c) in enumerate(zip(depths, _closes(d, depths))):
+        if e - c <= 1:  # back at the root: a child ends at leaf i
+            kids.append(tuple([x - 1 for x in depths[start : i + 1]]))
+            start = i + 1
+    return kids
 
 
 def _words(d: int, depths) -> Iterator[tuple[int, ...]]:
@@ -289,27 +294,24 @@ def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:
 
 
 # A forest below a tree a lists, per leaf of a, the leaf depths of the tree
-# hanging there, counted from that leaf ((0,) where nothing hangs).  Grafting
-# it onto b, a tree with a's leaf count, adds each leaf's depth in b.
+# hanging there, counted from that leaf ((0,) where nothing hangs).  Its
+# leaves are numbered 1, 2, ... across its trees, as in the grafted tree.
 
 
-def _root_subtrees(depths: tuple, d: int) -> list:
-    """The d subtrees below the root of a tree that is not a leaf, as leaf depths.
-
-    The leaves of one subtree, at depths e, fill it exactly: sum d^-(e-1) = 1.
-    """
-    deep = max(depths)
-    full, fill, start, out = d ** (deep - 1), 0, 0, []
-    for p, e in enumerate(depths):
-        fill += d ** (deep - e)
-        if fill == full:
-            out.append(tuple([x - 1 for x in depths[start : p + 1]]))
-            start, fill = p + 1, 0
-    return out
+def graft_forest(stem: tuple, forest: list) -> tuple[int, ...]:
+    """Leaf depths of the tree with forest[i] glued below leaf i+1 of stem (depths)."""
+    # from a list, not a generator: tuple(generator) resizes its result, which
+    # then goes back to the free list of another size and piles up there
+    return tuple([e + x for e, tree in zip(stem, forest) for x in tree])
 
 
-def _glue(forest: list, p: int, d: int) -> None:
-    """Glue a caret onto leaf p of the forest, counting leaves across its trees."""
+def trivial_leaf(forest: list, i: int) -> int:
+    """The leaf number of forest[i] when nothing hangs there, else 0."""
+    return sum(map(len, forest[:i])) + 1 if len(forest[i]) == 1 else 0
+
+
+def glue_caret(d: int, forest: list, p: int) -> None:
+    """Glue a caret onto leaf p of the forest, in place."""
     for m, tree in enumerate(forest):
         if p <= len(tree):
             forest[m] = tree[: p - 1] + (tree[p - 1] + 1,) * d + tree[p:]
@@ -317,13 +319,17 @@ def _glue(forest: list, p: int, d: int) -> None:
         p -= len(tree)
 
 
-def _forest_sites(forest: list, d: int, carets_in) -> dict[int, frozenset[int]]:
-    """Where the forest grafted onto some b can have removable carets.
+@lru_cache(maxsize=1024)
+def _tree_carets(d: int, depths: tuple) -> frozenset[int]:
+    return frozenset(removable_carets(_tree(d, depths)))
 
-    Maps each such leaf index to the carets of b (by first leaf) it needs:
-    none for a caret inside a tree of the forest (carets_in gives a tree's
-    removable carets from its depths), or the caret of b above d trivial
-    trees in a row.
+
+def forest_sites(d: int, forest: list) -> dict[int, frozenset[int]]:
+    """Where the forest grafted onto some stem b can have removable carets.
+
+    Maps each such leaf number to the carets of b (by first leaf) it needs:
+    none for a caret inside a tree of the forest, or the caret of b above d
+    trivial trees in a row.
     """
     sites: dict[int, frozenset[int]] = {}
     offset = run = 0  # run: trivial trees in a row
@@ -334,7 +340,7 @@ def _forest_sites(forest: list, d: int, carets_in) -> dict[int, frozenset[int]]:
                 sites[offset + 2 - d] = frozenset((m + 1 - d,))
         else:
             run = 0
-            for r in carets_in(tree):
+            for r in _tree_carets(d, tree):
                 sites[offset + r] = frozenset()
         offset += len(tree)
     return sites

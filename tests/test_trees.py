@@ -7,9 +7,6 @@ from cloning_systems.trees import (
     MAX_TREE_DEPTH,
     Tree,
     _closes,
-    _forest_sites,
-    _glue,
-    _root_subtrees,
     _tree,
     agree_away_from,
     caret,
@@ -17,7 +14,10 @@ from cloning_systems.trees import (
     common_expansion,
     expand_at,
     expansion_path,
+    forest_sites,
+    glue_caret,
     graft,
+    graft_forest,
     leaf,
     leaf_index,
     leaf_word,
@@ -29,6 +29,7 @@ from cloning_systems.trees import (
     tree_text,
     tree_union,
     trees_with_carets,
+    trivial_leaf,
 )
 
 
@@ -40,7 +41,7 @@ def dominates(big, small):
 def transplant(s, a, b):
     """Oracle: graft onto b's leaves, in leaf order, the forest that s hangs
     below a's; s must dominate a, and a and b need the same leaf count."""
-    return graft_forest(b, split_forest(s, a)[0])
+    return _tree(b.d, graft_forest(b.depths, split_forest(s, a)[0]))
 
 
 def split_forest(s, a):
@@ -48,7 +49,7 @@ def split_forest(s, a):
 
     s must dominate a.  Returns (forest, sites): forest[i] holds the leaf
     depths of the tree below leaf i+1 of a, counted from that leaf ((0,)
-    where s keeps the leaf).  A removable caret of graft_forest(b, forest),
+    where s keeps the leaf).  A removable caret of graft_forest(b.depths, forest),
     for b with a's leaf count, lies inside one of those trees, at its leaf
     index in s, or is a caret of b whose d leaves keep trivial trees.
     sites maps each such leaf index to the carets of b (by first leaf) it
@@ -72,11 +73,6 @@ def split_forest(s, a):
             if run >= d:
                 sites[p - d + 2] = frozenset((len(forest) - d + 1,))
     return forest, sites
-
-
-def graft_forest(b, forest):
-    """Oracle: glue forest[i] (as split_forest gives it) below leaf i+1 of b."""
-    return _tree(b.d, tuple([e + x for e, tree in zip(b.depths, forest) for x in tree]))
 
 
 def test_leaf_and_caret_counts():
@@ -437,7 +433,7 @@ def test_split_and_graft_match_expansion_replay(d):
     rng = random.Random(300 + d)
     for s, a in _split_cases(d, rng):
         forest, sites = split_forest(s, a)
-        assert len(forest) == a.leaf_count and graft_forest(a, forest) == s
+        assert len(forest) == a.leaf_count and graft_forest(a.depths, forest) == s.depths
         if s == a:
             assert forest == [(0,)] * a.leaf_count
         if a.is_leaf:
@@ -450,21 +446,19 @@ def test_split_and_graft_match_expansion_replay(d):
             if any(w == words_s[k - 1][: len(w)] for w in words_a if len(w) < len(words_s[k - 1]))
         }
         # the forest operations of fd_conjugate_keys, against the cut
-        carets_in = lambda tree: removable_carets(_tree(d, tree))  # noqa: E731
-        assert _forest_sites(forest, d, carets_in) == sites
-        for tree in forest:
-            if len(tree) > 1:
-                kids = _tree(d, tree).children
-                assert _root_subtrees(tree, d) == [c.depths for c in kids]
+        assert forest_sites(d, forest) == sites
+        for i, tree in enumerate(forest):  # a leaf of a that s keeps, by its number in s
+            k = trivial_leaf(forest, i)
+            assert words_s[k - 1] == words_a[i] if tree == (0,) else k == 0
         p = rng.randint(1, s.leaf_count)
         glued = list(forest)
-        _glue(glued, p, d)
+        glue_caret(d, glued, p)
         assert glued == split_forest(expand_at(s, p), a)[0]
         # b: a itself and other shapes with a's leaf count
         same_size = trees_with_carets(d, (a.leaf_count - 1) // (d - 1))
         for b in {a, *rng.sample(same_size, min(4, len(same_size)))}:
-            grafted = graft_forest(b, forest)
-            assert grafted == transplant(s, a, b) == _replayed_transplant(s, a, b)
+            grafted = transplant(s, a, b)
+            assert grafted == _replayed_transplant(s, a, b)
             have = removable_carets(b)
             assert removable_carets(grafted) == {k for k, need in sites.items() if need <= have}
 
