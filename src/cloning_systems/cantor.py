@@ -438,11 +438,7 @@ class PrefixMap:
         depth = max(len(u) for u, _, _ in self.rules)
         dom, rng, state = self.rule_at(point.prefix(depth))
         tail = point.drop(len(dom))
-        out_pre: list[int] = []
-        cur = state
-        for letter in tail.pre:
-            o, cur = cur.step(letter)
-            out_pre.append(o)
+        out_pre, cur = state.apply_finite(tail.pre)
         seen: dict[tuple, int] = {}
         outs: list[int] = []
         idx = 0
@@ -455,7 +451,7 @@ class PrefixMap:
             o, cur = cur.step(tail.per[idx % len(tail.per)])
             outs.append(o)
             idx += 1
-        pre = rng + tuple(out_pre) + tuple(outs[:start])
+        pre = rng + out_pre + tuple(outs[:start])
         return CantorWord(pre, tuple(outs[start:]))
 
     def compose(self, other: "PrefixMap") -> "PrefixMap":

@@ -11,6 +11,7 @@ product families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
 from typing import Callable, Optional
@@ -24,6 +25,7 @@ class UnsupportedError(Exception):
 # permutations: 1-based one-line image tuples, p[i-1] = image of i
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)  # each level's identity is built once
 def perm_identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 

@@ -114,39 +114,45 @@ def expand_triple(t: Triple, k: int) -> Triple:
     )
 
 
-def expand_left(t: Triple, j: int) -> Triple:
-    """Expansion that puts the new caret at leaf j of the left tree."""
-    n = t.n
-    if not 1 <= j <= n:
-        raise IndexError(f"expansion position {j} out of range 1..{n}")
-    k = t.sys.rho(n, t.g).index(j) + 1
-    return expand_triple(t, k)
+def _reduce(system: CloningSystem, T: Optional[Tree], g, U: Tree, rng=None) -> tuple:
+    """Collapse carets until none applies; returns (T, g, U).
 
-
-def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
-    """Contract removable carets until none applies.
-
-    The result is independent of the order in which sites are tried
-    (expansions commute), which the test suite checks by passing an rng
-    that randomizes the site order.  Returns t itself when nothing collapses.
+    Block k of U collapses wherever g = clone_k(g0).  Given a left tree T,
+    rho(g0)(k) must also be a removable caret of T, and it collapses too;
+    with T None (a coset key) F_d supplies the left tree and nothing more is
+    asked.  The result is independent of the order in which sites are tried
+    (expansions commute; by C2 and the injectivity of each clone_k, a
+    collapse never blocks another), which the test suite checks by passing
+    an rng that shuffles the sites of each pass.
     """
-    system, T, g, U = t.sys, t.T, t.g, t.U
     while True:
         n_small = U.leaf_count - (system.d - 1)
         sites = sorted(removable_carets(U))
         if rng is not None:
             rng.shuffle(sites)
-        left = removable_carets(T)
+        left = None if T is None else removable_carets(T)
         for k in sites:
             g0 = system.try_unclone(n_small, k, g)
             if g0 is None:
                 continue
-            j = perm_apply(system.rho(n_small, g0), k)
-            if j in left:
-                T, g, U = collapse_at(T, j), g0, collapse_at(U, k)
-                break
+            if T is not None:
+                j = perm_apply(system.rho(n_small, g0), k)
+                if j not in left:
+                    continue
+                T = collapse_at(T, j)
+            g, U = g0, collapse_at(U, k)
+            break
         else:
-            return t if U is t.U else _triple(system, T, g, U)
+            return T, g, U
+
+
+def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
+    """Contract removable carets until none applies (see _reduce).
+
+    Returns t itself when nothing collapses.
+    """
+    T, g, U = _reduce(t.sys, t.T, t.g, t.U, rng)
+    return t if U is t.U else _triple(t.sys, T, g, U)
 
 
 def coset_key(y: Element) -> tuple[Tree, object]:
@@ -155,21 +161,11 @@ def coset_key(y: Element) -> tuple[Tree, object]:
     y F_d matches F_d y^-1, and for y^-1 = [P, h, Q] that right coset is
     every [P', h', Q'] with (h', Q') an expansion of (h, Q) and P' any tree
     of the same size: F_d supplies the left tree.  So the key reduces the
-    half (Q, h) alone, collapsing block k whenever h = clone_k(h0), with no
-    rho and no left tree.  By C2 and the injectivity of each clone_k, the
-    result does not depend on the order in which sites are tried.
+    half (Q, h) alone, with no rho and no left tree.
     """
     yi = y.inv()
-    system, h, Q = yi.sys, yi.g, yi.U
-    while True:
-        n_small = Q.leaf_count - (system.d - 1)
-        for k in removable_carets(Q):
-            h0 = system.try_unclone(n_small, k, h)
-            if h0 is not None:
-                h, Q = h0, collapse_at(Q, k)
-                break
-        else:
-            return Q, h
+    _, h, Q = _reduce(yi.sys, None, yi.g, yi.U)
+    return Q, h
 
 
 class Element:
@@ -259,7 +255,7 @@ def mul(x: Element, y: Element) -> Element:
         tx = expand_triple(tx, k)
     ty = y.triple()
     for j in y_path:
-        ty = expand_left(ty, j)
+        ty = expand_triple(ty, y.sys.rho(ty.n, ty.g).index(j) + 1)
     n = w.leaf_count
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)
 
@@ -281,7 +277,7 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
     rho(1) = id.  The expansion, the forests and the collapses that can
     ever apply depend only on A, so _conjugation_plans makes them once per
     left tree, and checks g' once there for all the conjugates that share
-    it.  Per f, reduce_triple runs only when B has the carets one of those
+    it.  Per f, _reduce runs only when B has the carets one of those
     collapses needs; otherwise its first pass would collapse nothing and
     the grafted triple is already reduced.  Within one system, equal keys
     are equal conjugates, so counting them needs no Element.
@@ -298,8 +294,8 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
         B = f.U
         T, U = graft_forest(B.depths, left), graft_forest(B.depths, right)
         if needs and any(need <= removable(B) for need in needs):
-            t = reduce_triple(_triple(system, _tree(B.d, T), g, _tree(B.d, U)))
-            yield t.T.depths, t.g, t.U.depths
+            T, g, U = _reduce(system, _tree(B.d, T), g, _tree(B.d, U))
+            yield T.depths, g, U.depths
         else:
             yield T, g, U
 
@@ -320,7 +316,7 @@ def _conjugation_plans(x: Element):
 
     A removable caret of B.G lies inside a tree of G, or is a caret of B
     over d trivial trees in a row, and then needs that caret of B; B.F
-    likewise (trees.forest_sites).  reduce_triple's first pass collapses
+    likewise (trees.forest_sites).  _reduce's first pass collapses
     at a right site k when g0 = try_unclone(k, g') exists and j = rho(g0)(k)
     is a left site, and neither depends on B.  needs holds, for each such
     (k, j), the carets of B both sites need.  g' is checked once per A with

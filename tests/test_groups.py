@@ -48,6 +48,11 @@ def test_perm_basics():
     assert parse_perm(perm_text(p)) == p
 
 
+def test_perm_identity_is_built_once_per_level():
+    assert perm_identity(7) is perm_identity(7) == tuple(range(1, 8))
+    assert perm_identity(0) == ()
+
+
 def test_perm_mul_applies_right_factor_first():
     p = cycle_perm(3, (1, 2))
     q = cycle_perm(3, (2, 3))

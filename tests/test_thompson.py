@@ -24,7 +24,6 @@ from cloning_systems.thompson import (
     composite_inverse_closed_form,
     element_text,
     endpoint_slope_character,
-    expand_left,
     expand_triple,
     fd_conjugates,
     fd_generator,
@@ -146,6 +145,14 @@ def test_expansion_product_middle_block():
     assert e.g == ("a", "b", "b")  # slot 1 becomes (id(a), swap(a)) = (a, b)? no:
     # slot 1 entry "a" clones to (a, swap(a)) = (a, A->? ) -- recompute directly
     assert e.g == (system.monos[0].apply("a"), system.monos[1].apply("a"), "b")
+
+
+def expand_left(t, j):
+    """Oracle: the expansion that puts the new caret at leaf j of the left tree."""
+    n = t.n
+    if not 1 <= j <= n:
+        raise IndexError(f"expansion position {j} out of range 1..{n}")
+    return expand_triple(t, t.sys.rho(n, t.g).index(j) + 1)
 
 
 def test_expand_left_targets_requested_leaf():
@@ -431,22 +438,50 @@ def test_fd_conjugates_reduce_exactly_the_triples_that_collapse(key, monkeypatch
     xs = [random_element(system, rng, max_carets=4) for _ in range(32)]
     xs += rng.sample(enumerate_fd_ball(system, 4 if system.d == 2 else 3).elements, 8)
     reduced = []
-    monkeypatch.setattr(
-        thompson, "reduce_triple", lambda t: reduced.append(t) or reduce_triple(t)
-    )
-    shortcuts = 0
+    kernel = thompson._reduce
+
+    def spy(system, T, g, U):
+        reduced.append(Triple(system, T, g, U))
+        return kernel(system, T, g, U)
+
+    monkeypatch.setattr(thompson, "_reduce", spy)
+    cases = []
     for x in xs:
         conjugates = fd_conjugates(x, ball.elements)
         for f in ball.elements:
             calls = len(reduced)
             next(conjugates)
-            t = _grafted_conjugate(x, f)
-            if len(reduced) == calls:  # the plan says: already reduced
-                assert reduce_triple(t) is t
-                shortcuts += 1
-            else:
-                assert reduced[-1] == t and reduce_triple(t) is not t
+            cases.append((x, f, reduced[-1] if len(reduced) > calls else None))
+    monkeypatch.undo()  # reduce_triple below reaches the kernel too
+    shortcuts = 0
+    for x, f, r in cases:
+        t = _grafted_conjugate(x, f)
+        if r is None:  # the plan says: already reduced
+            assert reduce_triple(t) is t
+            shortcuts += 1
+        else:
+            assert r == t and reduce_triple(t) is not t
     assert shortcuts and reduced
+
+
+def test_one_kernel_reduces_triples_coset_keys_and_conjugates(monkeypatch):
+    assert not hasattr(thompson, "expand_left")
+    kernel, callers = thompson._reduce, []
+
+    def spy(system, T, g, U, rng=None):
+        callers.append("coset" if T is None else "pair")
+        return kernel(system, T, g, U, rng)
+
+    system = make_system("prod:F2:id,swap")  # about half its conjugates collapse
+    x = random_element(system, random.Random(5), max_carets=3)
+    t = expand_triple(x.triple(), 1)
+    ball = enumerate_fd_ball(system, 3)
+    monkeypatch.setattr(thompson, "_reduce", spy)
+    assert reduce_triple(t) == x.triple() and callers == ["pair"]
+    _, h, Q = kernel(system, None, x.inv().g, x.T)
+    assert thompson.coset_key(x) == (Q, h) and callers == ["pair", "coset"]
+    keys = list(thompson.fd_conjugate_keys(x, ball.elements))
+    assert callers.count("pair") > 1 and len(keys) == len(ball.elements)
 
 
 def _conjugation_plan(x, A):
