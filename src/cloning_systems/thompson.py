@@ -23,6 +23,7 @@ from .groups import UnsupportedError, perm_apply
 from .trees import (
     Tree,
     _tree,
+    _tree_carets,
     collapse_at,
     common_expansion,
     expand_at,
@@ -130,12 +131,14 @@ def _reduce(system: CloningSystem, T: Optional[Tree], g, U: Tree, rng=None) -> t
         sites = sorted(removable_carets(U))
         if rng is not None:
             rng.shuffle(sites)
-        left = None if T is None else removable_carets(T)
+        left = None  # T's carets, scanned once some site of U unclones
         for k in sites:
             g0 = system.try_unclone(n_small, k, g)
             if g0 is None:
                 continue
             if T is not None:
+                if left is None:
+                    left = removable_carets(T)
                 j = perm_apply(system.rho(n_small, g0), k)
                 if j not in left:
                     continue
@@ -277,31 +280,47 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
     rho(1) = id.  The expansion, the forests and the collapses that can
     ever apply depend only on A, so _conjugation_plans makes them once per
     left tree, and checks g' once there for all the conjugates that share
-    it.  Per f, _reduce runs only when B has the carets one of those
-    collapses needs; otherwise its first pass would collapse nothing and
-    the grafted triple is already reduced.  Within one system, equal keys
-    are equal conjugates, so counting them needs no Element.
+    it; the plan is looked up again only when f's left tree changes.  Per
+    f, _reduce runs only when B has the carets one of those collapses
+    needs; otherwise its first pass would collapse nothing and the grafted
+    triple is already reduced.  B's carets come from the bounded
+    trees._tree_carets, shared by every x, and most B are turned away by
+    one test against the union of the needs.  Within one system, equal
+    keys are equal conjugates, so counting them needs no Element.
     """
-    system = x.sys
+    system, d = x.sys, x.sys.d
     plan = _conjugation_plans(x)
-    removable = lru_cache(maxsize=None)(removable_carets)  # per B, in this call
+    A = None
     for f in fs:
         if f.sys.name != system.name:
             raise SystemMismatch(f"cannot conjugate {system.name} by {f.sys.name}")
         if not f.in_fd():
             raise ValueError(f"conjugator {element_text(f)} is not in F_d")
-        left, g, right, needs = plan(f.T)
-        B = f.U
-        T, U = graft_forest(B.depths, left), graft_forest(B.depths, right)
-        if needs and any(need <= removable(B) for need in needs):
-            T, g, U = _reduce(system, _tree(B.d, T), g, _tree(B.d, U))
-            yield T.depths, g, U.depths
+        if f.T is not A:
+            A = f.T
+            left, g, right, needs, needed = plan(A.depths)
+        B = f.U.depths
+        T, U = graft_forest(B, left), graft_forest(B, right)
+        if (
+            needed
+            and not needed.isdisjoint(carets := _tree_carets(d, B))
+            and any(need <= carets for need in needs)
+        ):
+            T, h, U = _reduce(system, _tree(d, T), g, _tree(d, U))
+            yield T.depths, h, U.depths
         else:
             yield T, g, U
 
 
+@lru_cache(maxsize=4096)
+def _parent_cut(d: int, depths: tuple) -> tuple[int, tuple]:
+    """(i, P): P is the tree of these depths with the caret at its first deepest leaf i cut."""
+    i = depths.index(max(depths))
+    return i, depths[:i] + (depths[i] - 1,) + depths[i + d :]
+
+
 def _conjugation_plans(x: Element):
-    """A -> (F, g', G, needs) for this x: the expansion over A, its forests, its collapses.
+    """A -> (F, g', G, needs, needed) for this x, A given by its depths.
 
     F and G are the forests (in the format of trees.graft_forest) that T'
     and U' hang below A's leaves.  A's expansion is one step from that over
@@ -312,18 +331,23 @@ def _conjugation_plans(x: Element):
     leaf i of P below U' when G_i is trivial (its rho-partner falls into
     F), then the mirror caret below T' when F_i still is.  Entry i of both
     forests then splits into its d root subtrees.  Each expansion is kept
-    in states as (n, g', F, G), so a call clones at most twice per tree.
+    in states, keyed by A's depths, as (n, g', F, G), so a call clones at
+    most twice per tree.  The cut and the split depend on shapes alone, so
+    they come from bounded caches keyed by depths and shared by every x
+    (_parent_cut, trees.root_subtrees).
 
     A removable caret of B.G lies inside a tree of G, or is a caret of B
     over d trivial trees in a row, and then needs that caret of B; B.F
     likewise (trees.forest_sites).  _reduce's first pass collapses
     at a right site k when g0 = try_unclone(k, g') exists and j = rho(g0)(k)
     is a left site, and neither depends on B.  needs holds, for each such
-    (k, j), the carets of B both sites need.  g' is checked once per A with
+    (k, j), the carets of B both sites need, and needed their union.  No
+    need is empty: a collapse inside both forests would leave a smaller
+    expansion whose trees dominate A.  g' is checked once per A with
     Triple(...)'s message, so a clone that leaves the family is caught.
     """
     system, d = x.sys, x.sys.d
-    states = {leaf(d): (x.n, x.g, [x.T.depths], [x.U.depths])}
+    states = {(0,): (x.n, x.g, [x.T.depths], [x.U.depths])}
 
     def expand(n: int, g, k: int, j: int, left: list, right: list) -> tuple:
         """expand_triple at leaf k, with j = rho(g)(k), on the forests."""
@@ -331,13 +355,12 @@ def _conjugation_plans(x: Element):
         glue_caret(d, right, k)
         return n + d - 1, system.clone(n, k, g)
 
-    def expanded_over(A: Tree) -> tuple:
+    def expanded_over(A: tuple) -> tuple:
         chain = []
         while A not in states:
-            depths = A.depths
-            i = depths.index(max(depths))
+            i, P = _parent_cut(d, A)
             chain.append((A, i))
-            A = _tree(d, depths[:i] + (depths[i] - 1,) + depths[i + d :])
+            A = P
         n, g, left, right = states[A]
         for A, i in reversed(chain):
             left, right = left[:], right[:]
@@ -353,7 +376,7 @@ def _conjugation_plans(x: Element):
         return n, g, left, right
 
     @lru_cache(maxsize=None)
-    def plan(A: Tree) -> tuple:
+    def plan(A: tuple) -> tuple:
         n, g, left, right = expanded_over(A)
         _check_middle(system, n, g)
         left_sites = forest_sites(d, left)
@@ -365,7 +388,8 @@ def _conjugation_plans(x: Element):
                 other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
                 if other is not None:
                     needs.add(need | other)
-        return left, g, right, needs
+        needed = frozenset().union(*needs)
+        return left, g, right, needs, needed
 
     return plan
 

@@ -10,12 +10,22 @@ a node, e.g. "((..).)" is the binary left comb on 3 leaves, depths (2, 2, 1).
 Every operation on a tree is a loop or a splice over the depths and does
 not recurse.  Only the enumerator recurses: trees_with_carets to a depth
 equal to its caret count, and _compositions to a depth of d.
+
+Carets are found by cone alignment.  With top the deepest leaf, a leaf at
+depth e covers d^(top-e) of the d^top cells at depth top, and its left end
+is the sum of the widths to its left.  Leaves i..i+d-1 are the d children
+of one node exactly when leaves i and i+d-1 are as deep, at e, and leaf i's
+left end is a multiple of d^(top-e+1): then leaf i is the first child of
+its parent, the leaves after it up to leaf i+d-1 start inside the parent's
+cone, so leaf i+d-1 is a child too, and the d - 2 leaves between fill the
+children between only if each is one.  Only tree_text and root_subtrees
+scan the nesting itself (_closes).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Iterator, Optional
 
 # deepest tree parse_tree accepts: an input bound on tree texts, which also
@@ -89,14 +99,21 @@ def _closes(d: int, depths) -> list[int]:
     return out
 
 
-def root_subtrees(d: int, depths: tuple) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=4096)
+def root_subtrees(d: int, depths: tuple) -> tuple[tuple[int, ...], ...]:
     """The d subtrees below the root of a tree that is not a leaf, as leaf depths."""
     kids, start = [], 0
     for i, (e, c) in enumerate(zip(depths, _closes(d, depths))):
         if e - c <= 1:  # back at the root: a child ends at leaf i
             kids.append(tuple([x - 1 for x in depths[start : i + 1]]))
             start = i + 1
-    return kids
+    return tuple(kids)
+
+
+@lru_cache(maxsize=1024)
+def _widths(d: int, top: int) -> tuple[int, ...]:
+    """Per depth e <= top, the cells at depth top below one vertex at depth e."""
+    return tuple([d ** (top - e) for e in range(top + 1)])
 
 
 def _words(d: int, depths) -> Iterator[tuple[int, ...]]:
@@ -202,26 +219,34 @@ def expand_at(t: Tree, k: int) -> Tree:
 
 
 def removable_carets(t: Tree) -> set[int]:
-    """Leaf indices k such that leaves k..k+d-1 are the d children of one node."""
+    """Leaf indices k such that leaves k..k+d-1 are the d children of one node.
+
+    By cone alignment (see the module docstring): leaves k and k+d-1 are
+    as deep, at e, and leaf k's left end is a multiple of d^(top-e+1).
+    """
     d, depths = t.d, t.depths
-    # a node ending at leaf i whose first child is a leaf as deep as leaf i
-    # has only leaf children: d - 1 leaves cannot hold a bigger subtree
+    width = _widths(d, max(depths))
+    starts = accumulate(map(width.__getitem__, depths), initial=0)
     return {
-        i - d + 2
-        for i, c in enumerate(_closes(d, depths))
-        if c and depths[i - d + 1] == depths[i]
+        i
+        for i, (start, e, last) in enumerate(zip(starts, depths, depths[d - 1 :]), 1)
+        if e == last and not start % width[e - 1]
     }
 
 
 def collapse_at(t: Tree, k: int) -> Tree:
-    """Inverse of expand_at: delete the caret whose leaves are k..k+d-1."""
+    """Inverse of expand_at: delete the caret whose leaves are k..k+d-1.
+
+    The caret is checked as in removable_carets, on one prefix sum.
+    """
     d, depths = t.d, t.depths
     last = k + d - 2  # the caret's last leaf, 0-based
+    width = _widths(d, max(depths))
     if not (
         1 <= k
         and last < len(depths)
         and depths[k - 1] == depths[last]
-        and _closes(d, depths[: last + 1])[-1]
+        and not sum(map(width.__getitem__, depths[: k - 1])) % width[depths[last] - 1]
     ):
         raise ValueError(f"no removable caret at leaf {k}")
     return _tree(d, depths[: k - 1] + (depths[last] - 1,) + depths[last + 1 :])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -504,7 +505,7 @@ def _conjugation_plan(x, A):
             other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
             if other is not None:
                 needs.add(need | other)
-    return left, t.g, right, needs
+    return left, t.g, right, needs, frozenset().union(*needs)
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -521,7 +522,7 @@ def test_plans_from_the_parent_match_the_plan_from_x(key):
         # ball order reaches each parent first; reversed, one tree the whole chain
         for order in (trees_a, trees_a[::-1]):
             plan = thompson._conjugation_plans(x)
-            assert {A: plan(A) for A in order} == want
+            assert {A: plan(A.depths) for A in order} == want
     assert collapses
 
 
@@ -531,6 +532,30 @@ def test_conjugate_count_counts_the_distinct_conjugates(key):
     ball = enumerate_fd_ball(system, 3)
     for x in sample_nontrivial_elements(system, 6, random.Random(59)):
         assert conjugate_count(x, ball) == len(set(fd_conjugates(x, ball.elements)))
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_conjugate_keys_ignore_conjugator_order_and_shape_caches(key):
+    system = make_system(key)
+    fs = list(enumerate_fd_ball(system, 4 if system.d == 2 else 3).elements)
+    rng = random.Random(67)
+    shuffled = rng.sample(fs, len(fs))  # plans reused across non-consecutive left trees
+    caches = (trees._widths, trees._tree_carets, trees.root_subtrees, thompson._parent_cut)
+    for x in sample_nontrivial_elements(system, 4, rng, max_carets=3):
+        want = Counter(thompson.fd_conjugate_keys(x, fs))
+        assert sum(want.values()) == len(fs)
+        assert Counter(thompson.fd_conjugate_keys(x, shuffled)) == want
+        for cache in caches:
+            cache.cache_clear()
+        assert Counter(thompson.fd_conjugate_keys(x, fs)) == want
+    # cached values are shared by every caller, so none may be mutable
+    assert trees.root_subtrees.cache_info().currsize
+    for t in dict.fromkeys(f.T for f in fs if not f.T.is_leaf):
+        kids = trees.root_subtrees(system.d, t.depths)
+        assert type(kids) is tuple and all(type(kid) is tuple for kid in kids)
+        assert trees.root_subtrees(system.d, t.depths) is kids
+        i, parent = thompson._parent_cut(system.d, t.depths)
+        assert type(parent) is tuple and len(parent) == t.leaf_count - (system.d - 1)
 
 
 def test_fd_conjugates_replay_no_expansion_path(monkeypatch):

@@ -162,6 +162,36 @@ def test_collapse_at_every_small_tree_and_position(d):
                         collapse_at(t, k)
 
 
+def _closes_removable_carets(t):
+    """Oracle: carets by the nesting scan.  A node ending at leaf i whose
+    first child is a leaf as deep as leaf i has only leaf children: d - 1
+    leaves cannot hold a bigger subtree."""
+    d, depths = t.d, t.depths
+    return {
+        i - d + 2
+        for i, c in enumerate(_closes(d, depths))
+        if c and depths[i - d + 1] == depths[i]
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cone_alignment_matches_the_closes_oracle(d):
+    rng = random.Random(400 + d)
+    for carets in range(41):
+        for _ in range(3):
+            t = random_tree(d, carets, rng)
+            want = _closes_removable_carets(t)
+            assert removable_carets(t) == want
+            depths = t.depths
+            for k in range(t.leaf_count + d):  # from 0 to past the end
+                if k in want:
+                    short = depths[: k - 1] + (depths[k - 1] - 1,) + depths[k + d - 1 :]
+                    assert collapse_at(t, k).depths == short
+                else:
+                    with pytest.raises(ValueError, match=f"^no removable caret at leaf {k}$"):
+                        collapse_at(t, k)
+
+
 def test_leaf_word_index_bijection():
     rng = random.Random(1)
     for _ in range(100):
