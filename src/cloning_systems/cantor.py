@@ -17,7 +17,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .groups import UnsupportedError, perm_identity, perm_apply
+from .groups import UnsupportedError, perm_identity
 from .thompson import Element
 from .trees import leaf_words
 
@@ -127,10 +127,15 @@ class Automaton:
     successor state per letter.  Transitions must stay inside the state set,
     so the generated group is closed under taking sections by construction.
     `trivial` holds the states that act as the identity (identity output,
-    every transition a loop).  Fields are read-only by contract.
+    every transition a loop).  `involutions` holds states q with q.q the
+    identity by the wreath recursion: the greatest set of states whose
+    output is an involution and whose section at a equals the one at
+    rho(a) and lies in the set again, since the section of q.q at a is
+    delta(rho(a)) . delta(a).  It contains `trivial`.  Fields are read-only
+    by contract.
     """
 
-    __slots__ = ("d", "states", "trivial", "_hash")
+    __slots__ = ("d", "states", "trivial", "involutions", "_hash")
 
     def __init__(self, d: int, states: dict):
         if d < 2:
@@ -149,6 +154,14 @@ class Automaton:
         self.trivial = frozenset(
             n for n, s in frozen.items() if s == (perm_identity(d), (n,) * d)
         )
+        kept = {
+            n for n, (rho, delta) in frozen.items()
+            if all(rho[r - 1] == a and delta[r - 1] == delta[a - 1]
+                   for a, r in enumerate(rho, 1))
+        }
+        while dropped := {n for n in kept if not kept.issuperset(frozen[n][1])}:
+            kept -= dropped
+        self.involutions = frozenset(kept)
         self._hash = hash((d, tuple(sorted((k, v) for k, v in frozen.items()))))
 
     def __eq__(self, other):
@@ -177,11 +190,15 @@ class AutomatonElement:
     elements at hand, so it costs no allocation and no exploration.  Fields
     are read-only by contract.
 
-    AutomatonElement(...) checks that every entry has arity d and names a
-    state of its machine, once, where a word enters.  Sections, products
-    and inverses of checked words only follow transitions, concatenate or
-    reverse, so step, *, inv and the tables' rules build theirs with
-    _automaton_element, which only simplifies.  A step that leaves the word
+    Words are kept simplified: no trivial state, and no adjacent pair of
+    one state of equal machines that cancels, either as q.q^-1 or as q.q
+    for q in the machine's involutions (see _simplified).
+
+    AutomatonElement(...) checks that every entry has arity d, names a
+    state of its machine and has sign 1 or -1, once, where a word enters.
+    Sections, products and inverses of checked words only follow
+    transitions, concatenate or reverse, so step, *, inv and the tables'
+    rules build theirs with _automaton_element, which only simplifies.  A step that leaves the word
     as it is returns the element itself, as every reflection step does.
     """
 
@@ -189,11 +206,13 @@ class AutomatonElement:
 
     def __init__(self, d: int, word: Iterable[Entry] = ()):
         word = [tuple(entry) for entry in word]
-        for machine, name, _ in word:
+        for machine, name, sign in word:
             if machine.d != d:
                 raise ValueError("arity mismatch in automaton word")
             if name not in machine.states:
                 raise KeyError(name)
+            if type(sign) is not int or sign not in (1, -1):
+                raise ValueError(f"bad sign {sign!r}; expected 1 or -1")
         self.d = d
         self.word = _simplified(word)
 
@@ -310,7 +329,13 @@ class AutomatonElement:
 
 
 def _simplified(word: Iterable[Entry]) -> tuple[Entry, ...]:
-    """The word without trivial states and adjacent inverse pairs."""
+    """The word without trivial states and adjacent cancelling pairs.
+
+    A pair cancels when both entries name one state of equal machines and
+    either their signs are opposite or the state is in the machine's
+    involutions, so h.h, h^-1.h^-1 and h.h^-1 all vanish.  Entries keep
+    their signs: an involution's h^-1 is not rewritten to h.
+    """
     out: list[Entry] = []
     for entry in word:
         machine, name, sign = entry
@@ -318,7 +343,11 @@ def _simplified(word: Iterable[Entry]) -> tuple[Entry, ...]:
             continue
         if out:
             pm, pn, ps = out[-1]
-            if ps == -sign and pn == name and (pm is machine or pm == machine):
+            if (
+                pn == name
+                and (ps == -sign or name in machine.involutions)
+                and (pm is machine or pm == machine)
+            ):
                 out.pop()
                 continue
         out.append(entry)
@@ -474,7 +503,8 @@ class PrefixMap:
                 continue
             rest = v[len(w_plus) :]
             if t.word:
-                rest, t = t.apply_finite(rest)
+                if rest:
+                    rest, t = t.apply_finite(rest)
                 s = t * s
             out.append((u, w_minus + rest, s))
         return _prefix_map(d, _normalize_rules(out, d))
@@ -621,9 +651,7 @@ def from_tree_pair(x: Element) -> PrefixMap:
     dom = leaf_words(x.U)
     rng = leaf_words(x.T)
     ident = identity_element(d)
-    rules = [
-        (dom[i - 1], rng[perm_apply(sigma, i) - 1], ident) for i in range(1, x.n + 1)
-    ]
+    rules = [(u, rng[j - 1], ident) for u, j in zip(dom, sigma)]
     # Already normal: with trivial states only d sibling leaves of U sent in
     # order onto d sibling leaves of T could merge, and that is an in-order
     # block reduce_triple would have collapsed, since an Element is reduced.

@@ -113,6 +113,30 @@ def _is_trivial_state(machine, name):
     return rho == perm_identity(machine.d) and all(t == name for t in delta)
 
 
+def _is_involutive_state(machine, name, assumed=frozenset()):
+    """Oracle: q.q is the identity by the wreath recursion.  Its section at
+    a is delta(rho(a)) . delta(a), so q qualifies when rho is an involution,
+    delta(a) == delta(rho(a)) and that state qualifies too; states on the
+    current path are assumed to (the greatest fixed point)."""
+    if name in assumed:
+        return True
+    rho, delta = machine.states[name]
+    return all(
+        rho[rho[a - 1] - 1] == a
+        and delta[a - 1] == delta[rho[a - 1] - 1]
+        and _is_involutive_state(machine, delta[a - 1], assumed | {name})
+        for a in range(1, machine.d + 1)
+    )
+
+
+def _named_reflection(d, name):
+    """The full reflection as a machine whose one state is called name:
+    equal in action to full_reflection(d), and an equal machine only when
+    name is h0."""
+    machine = Automaton(d, {name: (tuple(range(d, 0, -1)), (name,) * d)})
+    return AutomatonElement(d, ((machine, name, 1),))
+
+
 def _random_automaton(d, rng):
     """1-4 states; outputs and transitions lean to the identity and to loops."""
     names = [f"s{i}" for i in range(rng.randint(1, 4))]
@@ -133,16 +157,23 @@ def test_trivial_states_match_the_per_state_predicate(d):
     machines = [full_reflection(d).word[0][0], odometer]
     machines += [_random_automaton(d, rng) for _ in range(300)]
     seen = {True: 0, False: 0}
+    involutive = 0
     for machine in machines:
         expected = {n for n in machine.states if _is_trivial_state(machine, n)}
         assert machine.trivial == expected
+        assert machine.involutions == {
+            n for n in machine.states if _is_involutive_state(machine, n)
+        }
         for name in machine.states:
             trivial = _is_trivial_state(machine, name)
             seen[trivial] += 1
+            involutive += not trivial and name in machine.involutions
             if machine.d == d:
+                # q.q is empty exactly when q is trivial or an involution
                 element = AutomatonElement(d, ((machine, name, 1), (machine, name, 1)))
-                assert (element.word == ()) == trivial
+                assert (element.word == ()) == (trivial or name in machine.involutions)
     assert min(seen.values()) >= 50
+    assert involutive >= 50
 
 
 def test_word_entry_naming_an_unknown_state_raises():
@@ -201,6 +232,15 @@ def test_identity_test_raises_past_the_section_cap(monkeypatch):
     assert ab.equals(AutomatonElement(2, ab.word))
 
 
+@pytest.mark.parametrize("sign", (0, 2, -3, 1.5))
+def test_automaton_words_refuse_signs_other_than_one_and_minus_one(sign):
+    machine = full_reflection(2).word[0][0]
+    with pytest.raises(ValueError, match=rf"^bad sign {sign!r}; expected 1 or -1$"):
+        AutomatonElement(2, ((machine, "h0", 1), (machine, "h0", sign)))
+    for good in (1, -1):
+        assert AutomatonElement(2, ((machine, "h0", good),)).word == ((machine, "h0", good),)
+
+
 def test_word_simplification_cancels_inverse_pairs():
     h = full_reflection(2)
     assert (h * h.inv()).word == ()
@@ -209,6 +249,81 @@ def test_word_simplification_cancels_inverse_pairs():
     assert other.word[0][0] is not h.word[0][0]
     assert (h * other.inv()).word == ()
     assert AutomatonElement(2, h.word + other.inv().word).word == ()
+
+
+def test_word_simplification_cancels_involution_pairs():
+    for d in (2, 3, 4):
+        h = full_reflection(d)
+        for word in (h.word * 2, h.inv().word * 2, h.word + h.inv().word):
+            assert AutomatonElement(d, word).word == ()
+        assert (h * h).word == () and (h.inv() * h.inv()).word == ()
+        # an equal machine built again cancels; an unequal one does not,
+        # though it acts alike
+        assert (h * _named_reflection(d, "h0")).word == ()
+        assert len((h * _named_reflection(d, "k0")).word) == 2
+    # flips only at the root; a mutual pair q -> p -> q flipping at even levels
+    root = Automaton(2, {"s": ((2, 1), ("e", "e")), "e": ((1, 2), ("e", "e"))})
+    mutual = Automaton(2, {"q": ((2, 1), ("p", "p")), "p": ((1, 2), ("q", "q"))})
+    odometer = Automaton(2, {"a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))})
+    # sections equal at 1 and 2, but the section is the odometer
+    over_odometer = Automaton(
+        2, {"s": ((2, 1), ("a", "a")), "a": ((2, 1), ("e", "a")), "e": ((1, 2), ("e", "e"))}
+    )
+    assert root.involutions == {"s", "e"} and mutual.involutions == {"q", "p"}
+    assert odometer.involutions == over_odometer.involutions == {"e"}
+    for machine, name, other in ((root, "s", "e"), (mutual, "q", "p"), (mutual, "p", "q")):
+        assert AutomatonElement(2, ((machine, name, 1),) * 2).word == ()
+        # cancellations cascade: q p p q is empty
+        word = ((machine, name, 1), (machine, other, 1), (machine, other, 1), (machine, name, 1))
+        assert AutomatonElement(2, word).word == ()
+    for machine, name in ((odometer, "a"), (over_odometer, "s")):
+        twice = AutomatonElement(2, ((machine, name, 1),) * 2)
+        assert len(twice.word) == 2 and not twice.is_identity()
+    # a state named like an involution of another machine stays
+    for pair in (((root, "s", 1), (over_odometer, "s", 1)),
+                 ((over_odometer, "s", 1), (root, "s", 1))):
+        assert len(AutomatonElement(2, pair).word) == 2
+
+
+def _entry_image(machine, name, sign, word):
+    """Image of a finite word under one signed state, read off its table."""
+    out = []
+    for letter in word:
+        rho, delta = machine.states[name]
+        if sign < 0:
+            letter = rho.index(letter) + 1
+            out.append(letter)
+        else:
+            out.append(rho[letter - 1])
+        name = delta[letter - 1]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_simplified_words_act_like_their_entries(d):
+    rng = random.Random(83 + d)
+    words = _words_up_to(d, 5)
+    involution_pairs = shortened = 0
+    for _ in range(150):
+        machines = [_random_automaton(d, rng), full_reflection(d).word[0][0]]
+        entries = [(m, n) for m in machines for n in m.states]
+        raw = []
+        for _ in range(rng.randint(0, 6)):
+            # repeat the previous state half the time, so pairs form
+            m, n = raw[-1][:2] if raw and rng.random() < 0.5 else rng.choice(entries)
+            raw.append((m, n, rng.choice((1, -1))))
+        involution_pairs += any(
+            a[:2] == b[:2] and a[2] == b[2] and a[1] in a[0].involutions - a[0].trivial
+            for a, b in zip(raw, raw[1:])
+        )
+        e = AutomatonElement(d, raw)
+        shortened += len(e.word) < len(raw)
+        for w in words:
+            image = w
+            for entry in reversed(raw):
+                image = _entry_image(*entry, image)
+            assert e.apply_finite(w)[0] == image
+    assert involution_pairs >= 30 and shortened >= 50
 
 
 def test_odometer_map_with_infinite_carry():
@@ -643,6 +758,10 @@ def test_identity_fast_paths_match_the_general_recursion(d):
     elements += [
         AutomatonElement(d, [(adder, "a", s)] * k) for s in (1, -1) for k in (1, 2, 3)
     ]
+    # two reflections of unequal machines: no pair cancels, and every step
+    # leaves the word as it is
+    h, k = full_reflection(d), _named_reflection(d, "k0")
+    elements += [h * k, k * h.inv(), h * k * h]
     steps = {"inverse one-entry": 0, "into trivial": 0, "unchanged multi-entry": 0}
     for e in elements:
         for letter in range(1, d + 1):
@@ -952,7 +1071,9 @@ def test_compose_invert_normalize_match_the_worklist_oracle(key):
 @pytest.mark.parametrize("d", (2, 3))
 def test_identity_fast_paths_fire_only_on_empty_words(d):
     h = full_reflection(d)
-    hh = AutomatonElement(d, h.word * 2)  # the identity, but not the empty word
+    # the identity, but not the empty word: two reflections of unequal
+    # machines do not cancel, and every step leaves the word as it is
+    hh = h * _named_reflection(d, "k0")
     e = identity_element(d)
     assert len(hh.word) == 2 and hh.is_identity()
     system = make_system(f"V:{d}")
@@ -963,17 +1084,17 @@ def test_identity_fast_paths_fire_only_on_empty_words(d):
     ident, twice, reflect = (PrefixMap(d, (((), (), s),)) for s in (e, hh, h))
     f_twice = PrefixMap(d, [(u, v, hh) for u, v, _ in f.rules])
     f_reflect = PrefixMap(d, [(u, v, h) for u, v, _ in f.rules])
-    # equals: h0 h0 acts as the identity; an empty word on one side only
+    # equals: h0 k0 acts as the identity; an empty word on one side only
     # still needs the other side's section
     for a, b in ((twice, ident), (f_twice, f), (_split_rule(twice, 0), ident)):
         assert a.equals(b) and b.equals(a)
     for a, b in ((reflect, ident), (f_reflect, f), (f_reflect, f_twice)):
         assert not a.equals(b) and not b.equals(a)
-    # compose: a section h0 h0 is applied and multiplied in, so it stays
+    # compose: a section h0 k0 is applied and multiplied in, so it stays
     for a, b in ((twice, f), (f_twice, f), (f, f_twice), (f_twice, f_reflect)):
         assert a.compose(b).rules == tuple(_reference_compose(a, b))
     assert all(s == hh for _, _, s in twice.compose(f).rules)
-    # normalize: children h0 h0 in order merge to the empty word, as
+    # normalize: children h0 k0 in order merge to the empty word, as
     # _try_merge decides; in reverse order they do not merge
     for states in ([hh] * d, [e] + [hh] * (d - 1), [hh] + [e] * (d - 1)):
         for letters in (range(1, d + 1), range(d, 0, -1)):
