@@ -17,10 +17,17 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .cloning import CloningSystem, ProductSystem, alternating_tuple, image_membership
-from .groups import BaseGroup, Monomorphism, identity_mono, perm_apply
+from .cloning import (
+    CloningSystem,
+    alternating_tuple,
+    in_all_images,
+    is_id_phi_product,
+    property_counterexample,
+)
+from .groups import perm_apply
 from .thompson import (
     Element,
+    _element,
     coset_key,
     fd_conjugate_keys,
     fd_conjugates,
@@ -30,7 +37,6 @@ from .thompson import (
 from .trees import (
     MAX_TREE_DEPTH,
     Tree,
-    expand_at,
     graft,
     leaf_index,
     removable_carets,
@@ -126,7 +132,7 @@ def enumerate_fd_ball(
             for U, crU in zip(shapes, carets_of):
                 if crT & crU:
                     continue
-                out.append(Element(system, T, ident, U, _raw=True))
+                out.append(_element(system, T, ident, U))
                 if len(out) > max_elements:
                     return FdBall(system, radius, tuple(out[:max_elements]), True)
     return FdBall(system, radius, tuple(out), truncated)
@@ -228,21 +234,19 @@ def mixing_witness(
 
 
 def fpf_suite(
-    base: BaseGroup,
-    phi: Monomorphism,
-    n: int = 3,
-    m_max: int = 5,
-    seed: int = 0,
+    system: CloningSystem, n: int = 3, m_max: int = 5, seed: int = 0
 ) -> ExperimentReport:
-    """Checks around a binary product system twisted by an order-two map.
+    """Checks around a system prod:<group>:id,<phi> (see is_id_phi_product).
 
-    Premises: phi is an involution without nontrivial fixed points.  Then,
-    on the system with maps (id, phi): (a) the alternating tuples land in
-    every cloning image (so the system is not diverse), (b) the spine
-    commutator powers match the closed form, (c) conjugating a nontrivial
-    kernel element by those powers gives pairwise distinct elements, and
-    (d) cloning a fresh copy at different spots disagrees (not uniform).
+    Premises: phi is an involution without nontrivial fixed points.  Then
+    (a) the alternating tuples land in every cloning image (so the system
+    is not diverse), (b) the spine commutator powers match the closed form,
+    (c) conjugating a nontrivial kernel element by those powers gives
+    pairwise distinct elements, and (d) cloning a fresh copy at different
+    spots disagrees (not uniform).
     """
+    if not is_id_phi_product(system):
+        raise ValueError("fpf expects a system of the form prod:<group>:id,<phi>")
     if n < 1:
         raise ValueError("n must be >= 1")
     if m_max < 1:
@@ -258,19 +262,19 @@ def fpf_suite(
                 f"past the cap of {MAX_TREE_DEPTH}"
             )
     rng = random.Random(seed)
-    system = ProductSystem(base, (identity_mono(), phi))
+    base, phi = system.base, system.monos[1]
     params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
     report = ExperimentReport(
         experiment="fpf", system=system.name, params=params, seed=seed
     )
-    elems = base.elements()
-    if elems is None:
+    pool = base.elements()
+    if pool is None:
         pool = [base.sample(rng) for _ in range(FPF_SAMPLES)]
         report.evidence = EVIDENCE_SAMPLED
     else:
-        pool = list(elems)
         report.evidence = EVIDENCE_EXHAUSTIVE
-    if all(g == base.identity for g in pool):
+    nontrivial = [g for g in pool if g != base.identity]
+    if not nontrivial:
         raise ValueError("fpf needs a base group with a nontrivial element")
 
     premises = {
@@ -288,32 +292,22 @@ def fpf_suite(
         report.verdict = "premise-failed"
         return report
 
-    nontrivial = [g for g in pool if g != base.identity]
     witness_ok = True
     for level in range(1, n + 1):
         for g in nontrivial[:5]:
             pattern = alternating_tuple(phi, g, level + 1)
-            if not all(
-                image_membership(system, level, k, pattern)
-                for k in range(1, level + 1)
-            ):
+            if not in_all_images(system, level, pattern):
                 witness_ok = False
                 report.witnesses.append(f"missing at n={level}: {pattern}")
     checks["nondiversity_witnesses"] = witness_ok
-    if witness_ok and nontrivial:
+    if witness_ok:
         report.witnesses.append(
             system.family.to_text(n + 1, alternating_tuple(phi, nontrivial[0], n + 1))
         )
 
     T = right_spine(2, nT - 1)
-    base_pair = Element(
-        system,
-        expand_at(T, 1),
-        system.family.identity(nT + 1),
-        expand_at(T, nT),
-    )
+    base_pair = power = powers_closed_form(system, T, 1, nT, 1)
     powers_ok = True
-    power = base_pair
     for m in range(2, m_max + 2):
         power = power * base_pair  # base_pair ** m, one product per step
         if powers_closed_form(system, T, 1, nT, m) != power:
@@ -321,22 +315,17 @@ def fpf_suite(
             break
     checks["spine_powers_closed_form"] = powers_ok
 
-    g = nontrivial[0] if nontrivial else base.identity
-    kernel_tuple = tuple(g for _ in range(nT))
-    x = Element(system, T, kernel_tuple, T)
+    x = Element(system, T, (nontrivial[0],) * nT, T)
     conjugators = [
         powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
     ]
     conjugates = list(fd_conjugates(x, conjugators))
     checks["conjugates_pairwise_distinct"] = len(set(conjugates)) == len(conjugates)
 
-    uniform_counterexample = None
-    for g in nontrivial[:10]:
-        tup = (g,) * n
-        once = system.clone(n, 1, tup)
-        if system.clone(n + 1, 1, once) != system.clone(n + 1, 2, once):
-            uniform_counterexample = tup
-            break
+    constant = ((g,) * n for g in nontrivial[:10])
+    uniform_counterexample = next(
+        (t for t in constant if property_counterexample(system, "uniform", n, t)), None
+    )
     checks["non_uniform"] = uniform_counterexample is not None
     if uniform_counterexample is not None:
         report.witnesses.append(system.family.to_text(n, uniform_counterexample))

@@ -253,8 +253,6 @@ def run_mixing(system, params: dict, seed: int) -> ExperimentReport:
             cand = system.family.sample(n, rng)
             if isinstance(system, cloning.ProductSystem):
                 cand = cand[: pos - 1] + (system.base.identity,) + cand[pos:]
-                if not system.family.contains(n, cand):
-                    continue
             if cand != identity and perm_apply(system.rho(n, cand), pos) == pos:
                 g = cand
                 break
@@ -296,12 +294,7 @@ def run_mixing(system, params: dict, seed: int) -> ExperimentReport:
 
 
 def run_fpf(system, params: dict, seed: int) -> ExperimentReport:
-    labels = system.name.split(":")[-1].split(",")
-    if not system.name.startswith("prod:") or labels[0] != "id" or len(labels) != 2:
-        raise ConfigError("fpf expects a system of the form prod:<group>:id,<phi>")
-    return analysis.fpf_suite(
-        system.base, system.monos[1], n=params["n"], m_max=params["m"], seed=seed
-    )
+    return analysis.fpf_suite(system, n=params["n"], m_max=params["m"], seed=seed)
 
 
 def _random_point(d: int, depth: int, rng) -> "cantor.CantorWord":

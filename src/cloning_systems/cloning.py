@@ -391,7 +391,9 @@ def verify_axioms(
 PROBE_PROPERTIES = ("pure", "slightly_pure", "fully_compatible", "uniform")
 
 
-def _probe_one(system: CloningSystem, prop: str, n: int, g) -> Optional[dict]:
+def property_counterexample(
+    system: CloningSystem, prop: str, n: int, g
+) -> Optional[dict]:
     """Counterexample for one element, or None if the property holds on it."""
     d = system.d
     if prop == "pure":
@@ -451,7 +453,7 @@ def probe_property(
             per_level = budget // n_max + (n <= budget % n_max)
             elems = [system.family.sample(n, rng) for _ in range(per_level)]
         for g in elems:
-            bad = _probe_one(system, prop, n, g)
+            bad = property_counterexample(system, prop, n, g)
             if bad is not None:
                 return {"property": prop, "verdict": "fails", "counterexample": bad}
     verdict = "holds-exhaustive" if exhaustive else "holds-on-samples"
@@ -473,12 +475,27 @@ def alternating_tuple(phi: Monomorphism, g, length: int) -> tuple:
     return tuple(g if i % 2 == 0 else phi.apply(g) for i in range(length))
 
 
+def in_all_images(system: CloningSystem, n: int, x) -> bool:
+    """Exact test for x in the image of clone(n, k, .) at every k = 1..n."""
+    return all(image_membership(system, n, k, x) for k in range(1, n + 1))
+
+
+def is_id_phi_product(system: CloningSystem) -> bool:
+    """Whether the system is a binary product prod:<group>:id,<phi>."""
+    return (
+        isinstance(system, ProductSystem)
+        and not system.psi
+        and system.d == 2
+        and system.monos[0].label == "id"
+    )
+
+
 def _pattern_candidates(system: CloningSystem, n: int, rng, budget: int):
     """Witness candidates for the non-diversity families of product systems.
 
     Constant tuples work whenever the monomorphisms share fixed points
     (e.g. all identity); alternating tuples g, phi(g), g, ... handle the
-    d = 2 systems built from an order-two monomorphism phi.
+    systems prod:<group>:id,<phi> with an order-two monomorphism phi.
     """
     if not isinstance(system, ProductSystem) or system.psi:
         return
@@ -489,7 +506,7 @@ def _pattern_candidates(system: CloningSystem, n: int, rng, budget: int):
     big = n + system.d - 1
     for g in sample_gs:
         yield (g,) * big
-    if system.d == 2 and system.monos[0].label == "id":
+    if is_id_phi_product(system):
         for g in sample_gs:
             yield alternating_tuple(system.monos[1], g, big)
 
@@ -515,15 +532,11 @@ def diversity_witness(
     d = system.d
     big = n + d - 1
     identity = fam.identity(big)
-
-    def in_all_images(x) -> bool:
-        return all(image_membership(system, n, k, x) for k in range(1, n + 1))
-
     if exhaustive is None:
         exhaustive = fam.is_finite(big)
     if exhaustive:
         for x in fam.enumerate(big):
-            if x != identity and in_all_images(x):
+            if x != identity and in_all_images(system, n, x):
                 return {"witness": x, "exhaustive": True}
         return {"witness": None, "exhaustive": True}
 
@@ -533,7 +546,7 @@ def diversity_witness(
         tried += 1
         if x != identity and x not in seen:
             seen.add(x)
-            if in_all_images(x):
+            if in_all_images(system, n, x):
                 return {"witness": x, "exhaustive": False}
     if not tried and budget < 1:
         raise ValueError(f"sampled search tried no candidate at budget {budget}")
@@ -541,6 +554,6 @@ def diversity_witness(
         x = fam.sample(big, rng)
         if x != identity and x not in seen:
             seen.add(x)
-            if in_all_images(x):
+            if in_all_images(system, n, x):
                 return {"witness": x, "exhaustive": False}
     return {"witness": None, "exhaustive": False}

@@ -192,7 +192,8 @@ class FreeGroupAB(BaseGroup):
         return free_inv(g)
 
     def contains(self, g):
-        return isinstance(g, str) and free_reduce(g) == g
+        # strip leaves a character exactly when g has a letter outside aAbB
+        return isinstance(g, str) and not g.strip(FREE_LETTERS) and free_reduce(g) == g
 
     def sample(self, rng):
         length = rng.randint(0, self.max_word_len)
@@ -229,36 +230,27 @@ class Monomorphism:
     try_preimage: Callable
 
 
-def identity_mono() -> Monomorphism:
-    return Monomorphism("id", lambda g: g, lambda g: g)
-
-
 _SWAP_TABLE = str.maketrans("abAB", "baBA")
 
 
-def swap_mono() -> Monomorphism:
-    """The F2 automorphism exchanging the two generators; self-inverse."""
-    return Monomorphism(
-        "swap", lambda g: g.translate(_SWAP_TABLE), lambda g: g.translate(_SWAP_TABLE)
-    )
-
-
-def inversion_mono(base: BaseGroup) -> Monomorphism:
-    """g -> g^{-1}; an automorphism of any abelian group, self-inverse."""
-    return Monomorphism("inv", base.inv, base.inv)
+def _swap(g: str) -> str:
+    return g.translate(_SWAP_TABLE)
 
 
 def mono_for(base: BaseGroup, label: str) -> Monomorphism:
+    """The monomorphism named by label: id; swap, the F2 automorphism
+    exchanging the two generators; or inv, g -> g^{-1}, an automorphism of
+    any abelian group.  swap and inv are self-inverse."""
     if label == "id":
-        return identity_mono()
+        return Monomorphism("id", lambda g: g, lambda g: g)
     if label == "swap":
         if not isinstance(base, FreeGroupAB):
             raise ValueError("swap is only defined on F2")
-        return swap_mono()
+        return Monomorphism("swap", _swap, _swap)
     if label == "inv":
         if not isinstance(base, CyclicGroup):
             raise ValueError("inv is only defined on the cyclic groups here")
-        return inversion_mono(base)
+        return Monomorphism("inv", base.inv, base.inv)
     raise ValueError(f"unknown monomorphism {label!r}")
 
 

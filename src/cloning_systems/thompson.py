@@ -176,10 +176,9 @@ class Element:
 
     __slots__ = ("sys", "T", "g", "U", "_hash")
 
-    def __init__(self, system: CloningSystem, T: Tree, g, U: Tree, _raw: bool = False):
-        if not _raw:
-            t = reduce_triple(Triple(system, T, g, U))
-            T, g, U = t.T, t.g, t.U
+    def __init__(self, system: CloningSystem, T: Tree, g, U: Tree):
+        t = reduce_triple(Triple(system, T, g, U))
+        T, g, U = t.T, t.g, t.U
         self.sys = system
         self.T = T
         self.g = g
@@ -189,7 +188,7 @@ class Element:
     @classmethod
     def identity(cls, system: CloningSystem) -> "Element":
         l = leaf(system.d)
-        return cls(system, l, system.family.identity(1), l, _raw=True)
+        return _element(system, l, system.family.identity(1), l)
 
     @property
     def n(self) -> int:
@@ -229,7 +228,7 @@ class Element:
     def inv(self) -> "Element":
         # by C1, [U, g^-1, T] reduces exactly where [T, g, U] does: already canonical
         g_inv = self.sys.family.inv(self.n, self.g)
-        return Element(self.sys, self.U, g_inv, self.T, _raw=True)
+        return _element(self.sys, self.U, g_inv, self.T)
 
     def __pow__(self, m: int) -> "Element":
         """Repeated squaring: about 2 log2(m) products instead of m."""
@@ -247,6 +246,15 @@ class Element:
 
     def __repr__(self):
         return f"Element({self.sys.name}, {element_text(self)!r})"
+
+
+def _element(system: CloningSystem, T: Tree, g, U: Tree) -> Element:
+    """Trusted constructor: (T, g, U) must be a reduced triple that passes
+    the checks of Triple(...)."""
+    x = object.__new__(Element)
+    x.sys, x.T, x.g, x.U = system, T, g, U
+    x._hash = hash((system.name, T, g, U))
+    return x
 
 
 def mul(x: Element, y: Element) -> Element:
@@ -267,7 +275,7 @@ def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
     """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products."""
     system, d = x.sys, x.sys.d
     for T, g, U in fd_conjugate_keys(x, fs):
-        yield Element(system, _tree(d, T), g, _tree(d, U), _raw=True)
+        yield _element(system, _tree(d, T), g, _tree(d, U))
 
 
 def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:

@@ -28,7 +28,7 @@ from cloning_systems.cloning import (
     standard_symmetric_clone,
     verify_axioms,
 )
-from cloning_systems.groups import base_group_by_name, cycle_perm, mono_for
+from cloning_systems.groups import cycle_perm
 from cloning_systems.thompson import (
     Element,
     composite_inverse_closed_form,
@@ -291,9 +291,9 @@ def test_criterion_12_presentation_relations():
 
 def test_fpf_suites_supplement():
     # named fixed-point-free example systems behind criteria 7 and 8
-    z3 = base_group_by_name("Z3")
-    assert fpf_suite(z3, mono_for(z3, "inv"), n=3, m_max=5, seed=0).verdict == "pass"
-    f2 = base_group_by_name("F2")
-    assert fpf_suite(f2, mono_for(f2, "swap"), n=3, m_max=5, seed=0).verdict == "pass"
-    z2 = base_group_by_name("Z2")
-    assert fpf_suite(z2, mono_for(z2, "inv"), n=3, m_max=5, seed=0).verdict == "premise-failed"
+    z3 = make_system("prod:Z3:id,inv")
+    assert fpf_suite(z3, n=3, m_max=5, seed=0).verdict == "pass"
+    f2 = make_system("prod:F2:id,swap")
+    assert fpf_suite(f2, n=3, m_max=5, seed=0).verdict == "pass"
+    z2 = make_system("prod:Z2:id,inv")
+    assert fpf_suite(z2, n=3, m_max=5, seed=0).verdict == "premise-failed"

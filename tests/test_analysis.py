@@ -17,10 +17,11 @@ from cloning_systems.analysis import (
     sample_nontrivial_elements,
 )
 from cloning_systems.cloning import make_system
-from cloning_systems.groups import base_group_by_name, cycle_perm, mono_for
+from cloning_systems.groups import cycle_perm
 from cloning_systems.thompson import (
     Element,
     SystemMismatch,
+    _element,
     coset_key,
     fd_generator,
     parse_element,
@@ -105,7 +106,7 @@ def _pairwise_fd_ball(system, radius):
         for T in shapes:
             for U in shapes:
                 if not removable_carets(T) & removable_carets(U):
-                    out.append(Element(system, T, ident, U, _raw=True))
+                    out.append(_element(system, T, ident, U))
     return out
 
 
@@ -453,38 +454,33 @@ def test_mixing_witness_validates_grafts():
 
 
 def test_fpf_suite_cyclic():
-    z3 = base_group_by_name("Z3")
-    report = fpf_suite(z3, mono_for(z3, "inv"), n=3, m_max=5, seed=0)
+    report = fpf_suite(make_system("prod:Z3:id,inv"), n=3, m_max=5, seed=0)
     assert report.verdict == "pass"
     assert report.evidence == EVIDENCE_EXHAUSTIVE
     assert all(report.series["checks"].values())
 
 
 def test_fpf_suite_free_group():
-    f2 = base_group_by_name("F2")
-    report = fpf_suite(f2, mono_for(f2, "swap"), n=3, m_max=5, seed=0)
+    report = fpf_suite(make_system("prod:F2:id,swap"), n=3, m_max=5, seed=0)
     assert report.verdict == "pass"
 
 
 def test_fpf_suite_two_torsion_premise_fails():
-    z2 = base_group_by_name("Z2")
-    report = fpf_suite(z2, mono_for(z2, "inv"), n=3, m_max=5, seed=0)
+    report = fpf_suite(make_system("prod:Z2:id,inv"), n=3, m_max=5, seed=0)
     assert report.verdict == "premise-failed"
     assert not report.series["checks"]["premise_fixed_point_free"]
 
 
 @pytest.mark.parametrize("group, phi", [("Z2", "inv"), ("Z3", "id")])
 def test_fpf_suite_premise_failure_names_a_witness(group, phi):
-    base = base_group_by_name(group)
-    report = fpf_suite(base, mono_for(base, phi), n=3, m_max=5, seed=0)
+    report = fpf_suite(make_system(f"prod:{group}:id,{phi}"), n=3, m_max=5, seed=0)
     assert report.verdict == "premise-failed"
     assert report.witnesses == ["premise_fixed_point_free fails at 1"]
 
 
 def test_fpf_suite_rejects_empty_power_range():
-    z3 = base_group_by_name("Z3")
     with pytest.raises(ValueError, match="m must be >= 1"):
-        fpf_suite(z3, mono_for(z3, "inv"), n=3, m_max=0)
+        fpf_suite(make_system("prod:Z3:id,inv"), n=3, m_max=0)
 
 
 def test_report_json_roundtrip():

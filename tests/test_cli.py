@@ -178,9 +178,13 @@ def test_invalid_element_text_exit_two(capsys):
     assert code == 2
 
 
-def test_fpf_requires_binary_product_system(capsys):
-    code, _, err = run_cli(capsys, "fpf", "--system", "V")
+@pytest.mark.parametrize(
+    "key", ["V", "psi:Z3:id,inv", "prod:Z3:inv,id", "prod:Z3:id,id,inv"]
+)
+def test_fpf_requires_binary_product_system(capsys, key):
+    code, _, err = run_cli(capsys, "fpf", "--system", key)
     assert code == 2
+    assert err == "error: fpf expects a system of the form prod:<group>:id,<phi>\n"
     code2, out, _ = run_cli(capsys, "fpf", "--system", "prod:Z3:id,inv")
     assert code2 == 0
     assert json.loads(out)["verdict"] == "pass"

@@ -365,7 +365,7 @@ def test_sampled_probe_checks_exactly_budget_elements(monkeypatch, budget, n_max
 
     levels = []
     monkeypatch.setattr(
-        cloning, "_probe_one", lambda system, prop, n, g: levels.append(n)
+        cloning, "property_counterexample", lambda system, prop, n, g: levels.append(n)
     )
     result = probe_property(
         make_system("prod:F2:id,swap"), "pure", n_max=n_max, budget=budget
@@ -423,6 +423,8 @@ def test_image_membership_rejects_values_outside_the_family():
     assert not image_membership(make_system("Vhat"), 3, 1, (1, 2, 4, 3))
     assert not image_membership(make_system("psi:Z3:id,id"), 3, 2, (1, 0, 0, 0))
     assert not image_membership(make_system("V"), 3, 1, (1, 2, 3))
+    # a letter outside a, A, b, B is no F2 word
+    assert not image_membership(make_system("prod:F2:id,swap"), 1, 1, ("x", "a"))
 
 
 def test_diversity_exhaustive_v2():

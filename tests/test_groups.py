@@ -231,6 +231,15 @@ def test_text_roundtrip_per_family():
             assert family.parse(n, family.to_text(n, g)) == g
 
 
+def test_free_group_membership_rejects_foreign_letters():
+    base = FreeGroupAB()
+    assert base.contains("aB")
+    assert not base.contains("aA")
+    for word in ("xa", "ax", "a b", "1"):
+        assert not base.contains(word)
+    assert not ProductFamily(base).contains(2, ("xa", "a"))
+
+
 def test_free_group_sampler_respects_cap():
     base = FreeGroupAB(max_word_len=5)
     rng = random.Random(4)
