@@ -18,7 +18,7 @@ The three axioms, in the conventions used throughout this package
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Optional
 
 from .groups import (
     BaseGroup,
@@ -246,6 +246,39 @@ BUILTIN_SYSTEM_KEYS = (
 # axiom checks
 # ---------------------------------------------------------------------------
 
+def _axiom_positions(axiom: str, n: int, d: int) -> list[dict]:
+    """Every position where the axiom is asserted on level n, as keywords."""
+    ks = range(1, n + 1)
+    if axiom == "C1":
+        return [{"k": k} for k in ks]
+    if axiom == "C2":
+        return [{"k": k, "l": l} for k in ks for l in range(k + 1, n + 1)]
+    if axiom == "C3":
+        return [
+            {"k": k, "i": i} for k in ks for i in range(1, n + d) if not k <= i < k + d
+        ]
+    raise ValueError(f"unknown axiom {axiom!r}")
+
+
+def _axiom_instance(system: CloningSystem, axiom: str, n: int, g, h, pos: dict):
+    """(ok, payload) for one instance, unchecked: pos is from _axiom_positions."""
+    fam, d, k = system.family, system.d, pos["k"]
+    head = {"n": n, "g": g, "h": h} if axiom == "C1" else {"n": n, "g": g}
+    if axiom == "C1":
+        lhs = system.clone(n, k, fam.mul(n, g, h))
+        hk = perm_apply(system.rho(n, h), k)
+        rhs = fam.mul(n + d - 1, system.clone(n, hk, g), system.clone(n, k, h))
+    elif axiom == "C2":
+        l = pos["l"]
+        lhs = system.clone(n + d - 1, k, system.clone(n, l, g))
+        rhs = system.clone(n + d - 1, l + d - 1, system.clone(n, k, g))
+    else:
+        i = pos["i"]
+        lhs = perm_apply(system.rho(n + d - 1, system.clone(n, k, g)), i)
+        rhs = perm_apply(standard_symmetric_clone(system.rho(n, g), k, d), i)
+    return lhs == rhs, {**head, **pos, "lhs": lhs, "rhs": rhs}
+
+
 def check_axiom(
     system: CloningSystem,
     axiom: str,
@@ -258,90 +291,19 @@ def check_axiom(
 ) -> tuple[bool, dict]:
     """Evaluate one instance of C1, C2 or C3 exactly.
 
-    Returns (ok, payload); on failure the payload carries both sides of the
-    identity so callers can report a counterexample.
+    This is the one place an instance is checked: the position must be one
+    where the axiom is asserted on level n, and g (and h, exactly for C1)
+    must lie in G_n, else ValueError.  Returns (ok, payload); the payload
+    carries both sides of the identity so callers can report a counterexample.
     """
-    fam = system.family
-    d = system.d
-    if axiom == "C1":
-        if g is None or h is None or k is None or not 1 <= k <= n:
-            raise ValueError("C1 needs g, h in G_n and 1 <= k <= n")
-        lhs = system.clone(n, k, fam.mul(n, g, h))
-        rhs = fam.mul(
-            n + d - 1,
-            system.clone(n, perm_apply(system.rho(n, h), k), g),
-            system.clone(n, k, h),
-        )
-        ok = lhs == rhs
-        payload = {"n": n, "g": g, "h": h, "k": k, "lhs": lhs, "rhs": rhs}
-    elif axiom == "C2":
-        if g is None or k is None or l is None or not 1 <= k < l <= n:
-            raise ValueError("C2 needs g in G_n and 1 <= k < l <= n")
-        lhs = system.clone(n + d - 1, k, system.clone(n, l, g))
-        rhs = system.clone(n + d - 1, l + d - 1, system.clone(n, k, g))
-        ok = lhs == rhs
-        payload = {"n": n, "g": g, "k": k, "l": l, "lhs": lhs, "rhs": rhs}
-    elif axiom == "C3":
-        if g is None or k is None or i is None or not 1 <= k <= n:
-            raise ValueError("C3 needs g in G_n, 1 <= k <= n and a point i")
-        if k <= i <= k + d - 1:
-            raise ValueError("C3 is only asserted away from the cloned block")
-        if not 1 <= i <= n + d - 1:
-            raise ValueError(f"point {i} out of range 1..{n + d - 1}")
-        lhs = perm_apply(system.rho(n + d - 1, system.clone(n, k, g)), i)
-        rhs = perm_apply(standard_symmetric_clone(system.rho(n, g), k, d), i)
-        ok = lhs == rhs
-        payload = {"n": n, "g": g, "k": k, "i": i, "lhs": lhs, "rhs": rhs}
-    else:
-        raise ValueError(f"unknown axiom {axiom!r}")
-    return ok, payload
-
-
-def _axiom_instances_exhaustive(
-    system: CloningSystem, axiom: str, n: int
-) -> Iterator[dict]:
-    fam = system.family
-    elems = fam.enumerate(n)
-    d = system.d
-    if axiom == "C1":
-        for g in elems:
-            for h in elems:
-                for k in range(1, n + 1):
-                    yield {"g": g, "h": h, "k": k}
-    elif axiom == "C2":
-        for g in elems:
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    yield {"g": g, "k": k, "l": l}
-    else:
-        for g in elems:
-            for k in range(1, n + 1):
-                for i in range(1, n + d):
-                    if not k <= i <= k + d - 1:
-                        yield {"g": g, "k": k, "i": i}
-
-
-def _axiom_supports_level(axiom: str, n: int) -> bool:
-    # C2 needs k < l <= n; C3 needs a point outside the cloned block
-    return n >= 2 or axiom == "C1"
-
-
-def _axiom_instances_sampled(
-    system: CloningSystem, axiom: str, n: int, count: int, rng: random.Random
-) -> Iterator[dict]:
-    fam = system.family
-    d = system.d
-    for _ in range(count):
-        g = fam.sample(n, rng)
-        k = rng.randint(1, n)
-        if axiom == "C1":
-            yield {"g": g, "h": fam.sample(n, rng), "k": k}
-        elif axiom == "C2":
-            k = rng.randint(1, n - 1)
-            yield {"g": g, "k": k, "l": rng.randint(k + 1, n)}
-        else:
-            points = [i for i in range(1, n + d) if not k <= i <= k + d - 1]
-            yield {"g": g, "k": k, "i": rng.choice(points)}
+    pos = {key: v for key, v in zip("kli", (k, l, i)) if v is not None}
+    if pos not in _axiom_positions(axiom, n, system.d):
+        raise ValueError(f"{axiom} is not asserted at {pos} on level {n}")
+    if g is None or (h is None) == (axiom == "C1"):
+        raise ValueError(f"{axiom} needs g{' and h' if axiom == 'C1' else ', not h'}")
+    if not all(system.family.contains(n, x) for x in (g, h) if x is not None):
+        raise ValueError(f"{axiom} needs elements of G_{n}")
+    return _axiom_instance(system, axiom, n, g, h, pos)
 
 
 def verify_axioms(
@@ -354,34 +316,40 @@ def verify_axioms(
     """Sweep C1-C3 over n <= n_max, exhaustively or on seeded samples.
 
     Exhaustive sweeps are proofs at the checked levels; sampled sweeps are
-    evidence only.  Stops at the first counterexample.
+    evidence only.  A sampled instance draws g, then a position uniformly
+    from the axiom's table, then h for C1.  Stops at the first counterexample.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
     if not exhaustive and budget < 1:
         raise ValueError(f"sampled sweep checks no instance at budget {budget}")
     rng = random.Random(seed)
+    fam, d = system.family, system.d
     checked = {"C1": 0, "C2": 0, "C3": 0}
-    for axiom in ("C1", "C2", "C3"):
-        levels = [n for n in range(1, n_max + 1) if _axiom_supports_level(axiom, n)]
+    result = {"ok": True, "checked": checked, "exhaustive": exhaustive}
+    for axiom in checked:
+        with_h = axiom == "C1"  # the only axiom over pairs g, h
+        levels = [(n, _axiom_positions(axiom, n, d)) for n in range(1, n_max + 1)]
+        levels = [level for level in levels if level[1]]
         per_level = -(-budget // max(1, len(levels)))
-        for n in levels:
+        for n, positions in levels:
             if exhaustive:
-                instances = _axiom_instances_exhaustive(system, axiom, n)
-            else:
-                instances = _axiom_instances_sampled(system, axiom, n, per_level, rng)
-            for inst in instances:
-                ok, payload = check_axiom(system, axiom, n, **inst)
+                elems = fam.enumerate(n)
+                hs = elems if with_h else (None,)
+                instances = ((g, p, h) for g in elems for h in hs for p in positions)
+            else:  # drawn left to right: g, the position, then h
+                instances = (
+                    (fam.sample(n, rng), rng.choice(positions))
+                    + (fam.sample(n, rng) if with_h else None,)
+                    for _ in range(per_level)
+                )
+            for g, pos, h in instances:
+                ok, payload = _axiom_instance(system, axiom, n, g, h, pos)
                 checked[axiom] += 1
                 if not ok:
-                    return {
-                        "ok": False,
-                        "axiom": axiom,
-                        "counterexample": payload,
-                        "checked": checked,
-                        "exhaustive": exhaustive,
-                    }
-    return {"ok": True, "checked": checked, "exhaustive": exhaustive}
+                    result.update(ok=False, axiom=axiom, counterexample=payload)
+                    return result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ class SymmetricFamily(PermutationFamily):
     name = "S"
 
     def contains(self, n, g):
-        return len(g) == n and is_perm(g)
+        return isinstance(g, tuple) and len(g) == n and is_perm(g)
 
     def sample(self, n, rng):
         images = list(range(1, n + 1))
@@ -354,7 +354,7 @@ class CyclicShiftFamily(PermutationFamily):
 
     def contains(self, n, g):
         # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
-        return n >= 1 and len(g) == n and all(
+        return isinstance(g, tuple) and n >= 1 and len(g) == n and all(
             g[i] == (i + g[0] - 1) % n + 1 for i in range(n)
         )
 
@@ -368,7 +368,7 @@ class StabilizerFamily(PermutationFamily):
     name = "Shat"
 
     def contains(self, n, g):
-        return len(g) == n and is_perm(g) and g[n - 1] == n
+        return isinstance(g, tuple) and len(g) == n and is_perm(g) and g[n - 1] == n
 
     def sample(self, n, rng):
         images = list(range(1, n))
@@ -413,7 +413,9 @@ class ProductFamily(GroupFamily):
         return tuple(self.base.inv(a) for a in g)
 
     def contains(self, n, g):
-        return len(g) == n and all(self.base.contains(a) for a in g)
+        return isinstance(g, tuple) and len(g) == n and all(
+            self.base.contains(a) for a in g
+        )
 
     def sample(self, n, rng):
         return tuple(self.base.sample(rng) for _ in range(n))

@@ -1,8 +1,10 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from cloning_systems import cloning
 from cloning_systems.cloning import (
     BUILTIN_SYSTEM_KEYS,
     ProductSystem,
@@ -17,10 +19,17 @@ from cloning_systems.cloning import (
     verify_axioms,
 )
 from cloning_systems.groups import cycle_perm, perm_apply, perm_identity
+from cloning_systems.thompson import Element
+from cloning_systems.trees import caret
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 FINITE_SYSTEMS = [s for s in ALL_SYSTEMS if s.family.is_finite(4)]
 INFINITE_SYSTEMS = [s for s in ALL_SYSTEMS if not s.family.is_finite(4)]
+
+
+def _ternary(key):
+    """The ternary form of a key: V -> V:3, prod:Z3:id,inv -> prod:Z3:id,inv,id."""
+    return f"{key}:3" if ":" not in key else f"{key},id"
 
 
 def test_symmetric_clone_three_cycle():
@@ -210,18 +219,41 @@ def test_identity_clones_to_identity():
                 assert system.clone(n, k, e) == fam.identity(n + system.d - 1)
 
 
+# |G_n| of each finite built-in family, by its closed form
+_ORDERS = {
+    "S": factorial,
+    "C": lambda n: n,
+    "1": lambda n: 1,
+    "Shat": lambda n: factorial(n - 1),
+    "prod(Z3)": lambda n: 3**n,
+    "psi(Z3)": lambda n: 3 ** (n - 1),
+}
+
+
+def _exhaustive_counts(system, n_max):
+    """Instances of C1 (g, h, k), C2 (g, k < l) and C3 (g, k, i off the block)."""
+    order = _ORDERS[system.family.name]
+    levels = range(1, n_max + 1)
+    return {
+        "C1": sum(order(n) ** 2 * n for n in levels),
+        "C2": sum(order(n) * n * (n - 1) // 2 for n in levels),
+        "C3": sum(order(n) * n * (n - 1) for n in levels),
+    }
+
+
 @pytest.mark.parametrize("system", FINITE_SYSTEMS, ids=lambda s: s.name)
 def test_axioms_exhaustive_finite(system):
     result = verify_axioms(system, n_max=4, exhaustive=True)
     assert result["ok"], result
+    assert result["checked"] == _exhaustive_counts(system, 4)
 
 
-@pytest.mark.parametrize(
-    "key", ["V:3", "T:3", "F:3", "Vhat:3", "psi:Z3:id,id,id", "prod:Z3:id,inv,id"]
-)
+@pytest.mark.parametrize("key", [_ternary(s.name) for s in FINITE_SYSTEMS])
 def test_axioms_exhaustive_arity_three(key):
-    result = verify_axioms(make_system(key), n_max=4, exhaustive=True)
+    system = make_system(key)
+    result = verify_axioms(system, n_max=4, exhaustive=True)
     assert result["ok"], result
+    assert result["checked"] == _exhaustive_counts(system, 4)
 
 
 @pytest.mark.parametrize("system", INFINITE_SYSTEMS, ids=lambda s: s.name)
@@ -252,6 +284,33 @@ def test_verify_axioms_reports_a_counterexample(exhaustive):
     assert check_axiom(broken, "C1", n, g=g, h=h, k=k) == (False, payload)
 
 
+def test_sampled_c1_draws_g_then_k_then_h():
+    # the first counterexample each seed finds, pinned: C1 draws g, then k with
+    # rng.choice over n positions (the same draw as randint(1, n)), then h
+    found = {0: (68, 1), 1: (69, 1), 2: (68, 1), 3: (70, 2)}
+    for seed, (checked, k) in found.items():
+        result = verify_axioms(_FirstLeafCloning("V"), n_max=3, budget=200, seed=seed)
+        assert result["checked"] == {"C1": checked, "C2": 0, "C3": 0}
+        assert result["counterexample"]["k"] == k
+
+
+@pytest.mark.parametrize("axiom", ["C2", "C3"])
+def test_sampled_positions_cover_the_table(monkeypatch, axiom):
+    drawn = set()
+    evaluate = cloning._axiom_instance
+
+    def recording(system, ax, n, g, h, pos):
+        if ax == axiom and n == 4:
+            drawn.add(tuple(pos.items()))
+        return evaluate(system, ax, n, g, h, pos)
+
+    monkeypatch.setattr(cloning, "_axiom_instance", recording)
+    system = make_system("V:3")
+    assert verify_axioms(system, n_max=4, budget=600, seed=1)["ok"]
+    table = cloning._axiom_positions(axiom, 4, 3)
+    assert drawn == {tuple(pos.items()) for pos in table}
+
+
 def test_axiom_c1_trivial_elements():
     for system in ALL_SYSTEMS:
         e = system.family.identity(3)
@@ -271,6 +330,68 @@ def test_check_axiom_validates_ranges():
         check_axiom(v, "C3", 3, g=e, k=1, i=2)  # i inside the cloned block
     with pytest.raises(ValueError):
         check_axiom(v, "C9", 3, g=e, h=e, k=1)
+
+
+def _position_rule(axiom, n, d, k=None, l=None, i=None):
+    """The range predicates of C1-C3, an oracle for the position table."""
+    if k is None:
+        return False
+    if axiom == "C1":
+        return 1 <= k <= n
+    if axiom == "C2":
+        return l is not None and 1 <= k < l <= n
+    return (
+        i is not None
+        and 1 <= k <= n
+        and 1 <= i <= n + d - 1
+        and not k <= i <= k + d - 1
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_check_axiom_boundary_matches_the_range_rules(d):
+    system = make_system(f"V:{d}")
+    for n in range(1, 6):
+        e, outside = perm_identity(n), perm_identity(n + 1)
+        reversal = tuple(range(n, 0, -1))
+        # (g, h) and the axioms that take them
+        element_cases = [
+            ((e, reversal), {"C1"}),
+            ((reversal, None), {"C2", "C3"}),
+            ((None, e), set()),
+            ((None, None), set()),
+            ((outside, e), set()),
+            ((e, outside), set()),
+            ((outside, None), set()),
+            ((list(e), None), set()),
+            ((e, list(e)), set()),
+        ]
+        span = [None, *range(-1, n + d + 2)]
+        position_cases = {
+            "C1": [{"k": k} for k in span],
+            "C2": [{"k": k, "l": l} for k in span for l in span],
+            "C3": [{"k": k, "i": i} for k in span for i in span],
+        }
+        for axiom, positions in position_cases.items():
+            for pos in positions:
+                placed = _position_rule(axiom, n, d, **pos)
+                for (g, h), takers in element_cases:
+                    if placed and axiom in takers:
+                        ok, payload = check_axiom(system, axiom, n, g=g, h=h, **pos)
+                        assert ok
+                        head = ["n", "g", "h"] if axiom == "C1" else ["n", "g"]
+                        assert list(payload) == head + list(pos) + ["lhs", "rhs"]
+                    else:
+                        with pytest.raises(ValueError):
+                            check_axiom(system, axiom, n, g=g, h=h, **pos)
+        # a keyword of another axiom and an unknown axiom are refused too
+        with pytest.raises(ValueError):
+            check_axiom(system, "C1", n, g=e, h=e, k=1, l=n + 1)
+        with pytest.raises(ValueError):
+            check_axiom(system, "C2", n, g=e, k=1, l=n, i=n + d - 1)
+        for axiom in ("C9", "c1", ""):
+            with pytest.raises(ValueError):
+                check_axiom(system, axiom, n, g=e, h=e, k=1)
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.name)
@@ -425,6 +546,19 @@ def test_image_membership_rejects_values_outside_the_family():
     assert not image_membership(make_system("V"), 3, 1, (1, 2, 3))
     # a letter outside a, A, b, B is no F2 word
     assert not image_membership(make_system("prod:F2:id,swap"), 1, 1, ("x", "a"))
+
+
+@pytest.mark.parametrize(
+    "key", [*BUILTIN_SYSTEM_KEYS, *map(_ternary, BUILTIN_SYSTEM_KEYS)]
+)
+def test_membership_refuses_values_that_are_not_tuples(key):
+    system = make_system(key)
+    d, fam = system.d, system.family
+    for x in (list(fam.identity(d)), None, 5):
+        assert not fam.contains(d, x)
+        assert not image_membership(system, 1, 1, x)
+        with pytest.raises(ValueError, match=r"^middle element is not in "):
+            Element(system, caret(d), x, caret(d))
 
 
 def test_diversity_exhaustive_v2():
