@@ -431,8 +431,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as one ConfigError line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcs",
         description="Finite-scale experiments on cloning-system Thompson-like groups.",
     )
@@ -478,9 +485,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(build_parser().parse_args(argv))
         report = run(config)
         if config.out:
             with open(config.out, "w") as fh:

@@ -18,6 +18,7 @@ The three axioms, in the conventions used throughout this package
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Optional
 
 from .groups import (
@@ -246,9 +247,12 @@ BUILTIN_SYSTEM_KEYS = (
 # axiom checks
 # ---------------------------------------------------------------------------
 
-def _axiom_positions(axiom: str, n: int, d: int) -> list[dict]:
-    """Every position where the axiom is asserted on level n, as keywords."""
-    ks = range(1, n + 1)
+def _axiom_positions(axiom: str, n: int, d: int, ks=None) -> list[dict]:
+    """Every position where the axiom is asserted on level n, as keywords.
+
+    ks, a subset of 1..n, keeps only the rows of those k; the default is all.
+    """
+    ks = range(1, n + 1) if ks is None else ks
     if axiom == "C1":
         return [{"k": k} for k in ks]
     if axiom == "C2":
@@ -297,7 +301,8 @@ def check_axiom(
     carries both sides of the identity so callers can report a counterexample.
     """
     pos = {key: v for key, v in zip("kli", (k, l, i)) if v is not None}
-    if pos not in _axiom_positions(axiom, n, system.d):
+    own_rows = [k] if k in range(1, n + 1) else []  # a position's rows share its k
+    if pos not in _axiom_positions(axiom, n, system.d, own_rows):
         raise ValueError(f"{axiom} is not asserted at {pos} on level {n}")
     if g is None or (h is None) == (axiom == "C1"):
         raise ValueError(f"{axiom} needs g{' and h' if axiom == 'C1' else ', not h'}")
@@ -445,7 +450,12 @@ def alternating_tuple(phi: Monomorphism, g, length: int) -> tuple:
 
 def in_all_images(system: CloningSystem, n: int, x) -> bool:
     """Exact test for x in the image of clone(n, k, .) at every k = 1..n."""
-    return all(image_membership(system, n, k, x) for k in range(1, n + 1))
+    if n < 1:
+        raise ValueError("n must be >= 1")  # no clone map to test against
+    # membership in G_{n+d-1}, which try_unclone assumes, is tested once for all k
+    return system.family.contains(n + system.d - 1, x) and all(
+        system.try_unclone(n, k, x) is not None for k in range(1, n + 1)
+    )
 
 
 def is_id_phi_product(system: CloningSystem) -> bool:
@@ -496,32 +506,19 @@ def diversity_witness(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    fam = system.family
-    d = system.d
-    big = n + d - 1
+    fam, big = system.family, n + system.d - 1
     identity = fam.identity(big)
     if exhaustive is None:
         exhaustive = fam.is_finite(big)
     if exhaustive:
-        for x in fam.enumerate(big):
-            if x != identity and in_all_images(system, n, x):
-                return {"witness": x, "exhaustive": True}
-        return {"witness": None, "exhaustive": True}
-
-    seen = set()
-    tried = 0
-    for x in _pattern_candidates(system, n, rng, budget):
-        tried += 1
-        if x != identity and x not in seen:
-            seen.add(x)
-            if in_all_images(system, n, x):
-                return {"witness": x, "exhaustive": False}
-    if not tried and budget < 1:
+        candidates = fam.enumerate(big)
+    else:  # constructed candidates first, then samples drawn only as needed
+        samples = (fam.sample(big, rng) for _ in range(budget))
+        candidates = chain(_pattern_candidates(system, n, rng, budget), samples)
+    x = None  # stays None only when the stream is empty
+    for x in candidates:
+        if x != identity and in_all_images(system, n, x):
+            return {"witness": x, "exhaustive": exhaustive}
+    if x is None:
         raise ValueError(f"sampled search tried no candidate at budget {budget}")
-    for _ in range(budget):
-        x = fam.sample(big, rng)
-        if x != identity and x not in seen:
-            seen.add(x)
-            if in_all_images(system, n, x):
-                return {"witness": x, "exhaustive": False}
-    return {"witness": None, "exhaustive": False}
+    return {"witness": None, "exhaustive": exhaustive}

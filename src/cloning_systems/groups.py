@@ -31,7 +31,10 @@ def perm_identity(n: int) -> tuple[int, ...]:
 
 
 def is_perm(p: tuple[int, ...]) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
+    try:
+        return sorted(p) == list(range(1, len(p) + 1))
+    except TypeError:  # entries that do not compare, such as 1 and "a"
+        return False
 
 
 def perm_apply(p: tuple[int, ...], i: int) -> int:
@@ -354,9 +357,12 @@ class CyclicShiftFamily(PermutationFamily):
 
     def contains(self, n, g):
         # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
-        return isinstance(g, tuple) and n >= 1 and len(g) == n and all(
-            g[i] == (i + g[0] - 1) % n + 1 for i in range(n)
-        )
+        try:
+            return isinstance(g, tuple) and n >= 1 and len(g) == n and all(
+                g[i] == (i + g[0] - 1) % n + 1 for i in range(n)
+            )
+        except TypeError:  # g[0] is no number
+            return False
 
     def sample(self, n, rng):
         return self._rotation(n, rng.randrange(n))

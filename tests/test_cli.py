@@ -36,6 +36,16 @@ def test_help_contract_for_every_subcommand(capsys):
             assert flag in out
 
 
+def test_help_through_main_exits_zero_with_the_full_text(capsys):
+    for argv in (["--help"], ["diversity", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: dcs") and "--help" in captured.out
+        assert captured.err == ""
+
+
 def test_verify_axioms_pass_exit_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify-axioms", "--system", "V", "--n", "3", "--exhaustive"
@@ -381,6 +391,12 @@ def _left_comb_element(depth):
         (None, ["mixing", "--system", "V", "--leaf-word", "3", "--middle", "[2,1,3]"]),
         (None, ["diversity", "--system", "prod:F2:id,swap", "--n", "2", "--budget", "0"]),
         (None, ["probe", "pure", "--system", "prod:F2:id,swap", "--budget", "0"]),
+        # errors argparse finds: a bad flag value, an unknown flag or choice, no command
+        (None, ["conjugates", "--radius", "abc"]),
+        (None, ["conjugates", "--system", "V", "--bogus", "1"]),
+        (None, ["probe", "nonsense", "--system", "V"]),
+        (None, ["nosuch"]),
+        (None, []),
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
@@ -396,6 +412,8 @@ def _left_comb_element(depth):
         "verify-axioms-arity-one", "mixing-no-nontrivial-middle",
         "mixing-identity-middle", "mixing-leaf-word-out-of-range",
         "diversity-budget-zero", "probe-budget-zero",
+        "flag-value-not-int", "unknown-flag", "unknown-property", "unknown-command",
+        "no-command",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, doc, argv):

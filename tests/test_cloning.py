@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -596,3 +596,162 @@ def test_diversity_alternating_witness_swap_products():
 def test_diversity_witness_validates_level():
     with pytest.raises(ValueError):
         diversity_witness(make_system("V"), 0)
+
+
+def _three_loop_diversity_witness(system, n, budget=500, seed=0, exhaustive=None):
+    """The diversity search as three loops with a seen set, kept as an oracle."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+    def in_all(x):
+        return all(image_membership(system, n, k, x) for k in range(1, n + 1))
+
+    rng = random.Random(seed)
+    fam = system.family
+    big = n + system.d - 1
+    identity = fam.identity(big)
+    if exhaustive is None:
+        exhaustive = fam.is_finite(big)
+    if exhaustive:
+        for x in fam.enumerate(big):
+            if x != identity and in_all(x):
+                return {"witness": x, "exhaustive": True}
+        return {"witness": None, "exhaustive": True}
+    seen = set()
+    tried = 0
+    for x in cloning._pattern_candidates(system, n, rng, budget):
+        tried += 1
+        if x != identity and x not in seen:
+            seen.add(x)
+            if in_all(x):
+                return {"witness": x, "exhaustive": False}
+    if not tried and budget < 1:
+        raise ValueError(f"sampled search tried no candidate at budget {budget}")
+    for _ in range(budget):
+        x = fam.sample(big, rng)
+        if x != identity and x not in seen:
+            seen.add(x)
+            if in_all(x):
+                return {"witness": x, "exhaustive": False}
+    return {"witness": None, "exhaustive": False}
+
+
+def _search_outcome(search, *args, **kwargs):
+    """The dict a search returns, or the message of the ValueError it raises."""
+    try:
+        return search(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "key", [*BUILTIN_SYSTEM_KEYS, *map(_ternary, BUILTIN_SYSTEM_KEYS)]
+)
+def test_one_stream_search_matches_the_three_loop_oracle(key):
+    system = make_system(key)
+    for n in (1, 2, 3):
+        modes = [None, False] + [True] * system.family.is_finite(n + system.d - 1)
+        for seed, budget, exhaustive in product(range(5), (0, 1, 7, 50), modes):
+            args = (system, n, budget, seed, exhaustive)
+            expected = _search_outcome(_three_loop_diversity_witness, *args)
+            assert _search_outcome(diversity_witness, *args) == expected
+
+
+def _record_samples(monkeypatch, system):
+    """The list that collects every element the family samples from now on."""
+    drawn = []
+    sample = system.family.sample
+    monkeypatch.setattr(
+        system.family, "sample", lambda n, rng: drawn.append(sample(n, rng)) or drawn[-1]
+    )
+    return drawn
+
+
+def test_sampled_search_returns_a_witness_drawn_from_the_samples(monkeypatch):
+    monkeypatch.setattr(cloning, "_pattern_candidates", lambda *args: iter(()))
+    system = make_system("prod:Z3:id,id")
+    drawn = _record_samples(monkeypatch, system)
+    for n in (1, 2):
+        drawn.clear()
+        result = diversity_witness(system, n, budget=200, exhaustive=False)
+        w = result["witness"]
+        assert result["exhaustive"] is False
+        assert w is not None and w != (0,) * (n + 1) and w == (w[0],) * (n + 1)
+        assert drawn[-1] == w  # no sample is drawn after the witness
+        assert result == _three_loop_diversity_witness(
+            system, n, budget=200, exhaustive=False
+        )
+    with pytest.raises(ValueError, match=r"^sampled search tried no candidate at budget 0$"):
+        diversity_witness(system, 2, budget=0, exhaustive=False)
+
+
+def test_constructed_witness_is_found_before_any_sample(monkeypatch):
+    system = make_system("prod:F2:id,swap")
+    drawn = _record_samples(monkeypatch, system)
+    for n in (3, 4):
+        assert diversity_witness(system, n, seed=3)["witness"] is not None
+    assert drawn == []
+
+
+@pytest.mark.parametrize("key", ["V", "T", "Vhat:3", "prod:Z3:id,id", "psi:Z3:id,inv"])
+def test_in_all_images_tests_membership_once_per_candidate(monkeypatch, key):
+    system = make_system(key)
+    fam, d = system.family, system.d
+    calls = []
+    contains = fam.contains
+    monkeypatch.setattr(fam, "contains", lambda n, x: calls.append(n) or contains(n, x))
+    for n in (1, 2, 3):
+        big = n + d - 1
+        outsiders = [fam.identity(big + 1), fam.identity(big)[:-1], None]
+        for x in [*fam.enumerate(big), *outsiders]:
+            calls.clear()
+            conjunction = all(image_membership(system, n, k, x) for k in range(1, n + 1))
+            calls.clear()
+            assert cloning.in_all_images(system, n, x) == conjunction
+            assert calls == [big]
+
+
+def test_in_all_images_refuses_a_level_without_clone_maps():
+    for key in ("V", "prod:Z3:id,id"):
+        system = make_system(key)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+                cloning.in_all_images(system, n, system.family.identity(system.d))
+
+
+@pytest.mark.parametrize(
+    "key", [*BUILTIN_SYSTEM_KEYS, *map(_ternary, BUILTIN_SYSTEM_KEYS)]
+)
+def test_tuples_with_entries_of_no_base_type_are_not_members(key):
+    system = make_system(key)
+    d, fam = system.d, system.family
+    e = fam.identity(d)
+    for j, bad in product(range(d), (None, "#", (1,))):
+        x = e[:j] + (bad,) + e[j + 1 :]
+        assert not fam.contains(d, x)
+        assert not image_membership(system, 1, 1, x)
+        assert not cloning.in_all_images(system, 1, x)
+        with pytest.raises(ValueError, match=r"^middle element is not in "):
+            Element(system, caret(d), x, caret(d))
+        with pytest.raises(ValueError, match=rf"^C1 needs elements of G_{d}$"):
+            check_axiom(system, "C1", d, x, e, k=1)
+
+
+def test_one_axiom_check_builds_only_the_rows_of_its_own_k(monkeypatch):
+    built = []
+    positions = cloning._axiom_positions
+
+    def recording(*args):
+        table = positions(*args)
+        built.append(len(table))
+        return table
+
+    monkeypatch.setattr(cloning, "_axiom_positions", recording)
+    n, system = 1000, make_system("V")
+    e = perm_identity(n)
+    assert check_axiom(system, "C3", n, g=e, k=500, i=1)[0]
+    assert 0 < sum(built) <= n + system.d
+    built.clear()
+    with pytest.raises(ValueError):
+        check_axiom(system, "C3", n, g=e, k=n + 1, i=1)
+    assert sum(built) == 0
