@@ -2,12 +2,12 @@
 
 EXPERIMENTS is the one table of experiments, their parameters and defaults;
 each subcommand's flags, config validation and default filling follow from
-it.  Every subcommand builds a RunConfig, dispatches to a runner, and emits a
-JSON report; reports are byte-identical for identical (config, seed) apart
-from the runtime_ms field.  Exit codes: 0 all checked properties hold,
-1 a checked property failed (the report carries the witness), 2 usage or
-configuration error.  The default seed comes from the DCS_SEED environment
-variable when set.
+it.  Every subcommand builds a RunConfig, calls its function in the
+experiments module, and emits a JSON report; reports are byte-identical
+for identical (config, seed) apart from the runtime_ms field.  Exit codes:
+0 all checked properties hold, 1 a checked property failed (the report
+carries the witness), 2 usage or configuration error.  The default seed
+comes from the DCS_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -15,28 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
-from itertools import chain, product
 from typing import Callable, Optional
 
-from . import analysis, cantor, cloning
-from .analysis import (
-    DEFAULT_MAX_BALL,
-    DEFAULT_MAX_LEAVES,
-    EVIDENCE_EXHAUSTIVE,
-    EVIDENCE_SAMPLED,
-    ExperimentReport,
-    enumerate_fd_ball,
-    enumerate_system_ball,
-)
+from . import cloning, experiments
 from .cloning import make_system
-from .groups import UnsupportedError, perm_apply
-from .thompson import element_text, parse_element, random_element
-from .trees import caret, expand_at, leaf_index, leaf_words, parse_tree
+from .groups import UnsupportedError
 
 
 class ConfigError(ValueError):
@@ -92,305 +78,42 @@ class RunConfig:
                 raise ConfigError(f"parameter {key} must be {_EXPECTED[kind]}")
 
 
-def _elements_for(system, params: dict, seed: int):
-    if params["elements"]:
-        return [parse_element(system, t) for t in params["elements"]]
-    elements = analysis.sample_nontrivial_elements(
-        system, params["budget"], random.Random(seed)
-    )
-    if not elements:
-        raise ConfigError("no element to check: give --element or a budget >= 1")
-    return elements
-
-
-def _fd_ball(system, radius: int) -> analysis.FdBall:
-    """The F_d ball of the radius, refused when a cap cut it short."""
-    ball = enumerate_fd_ball(system, radius)
-    if ball.truncated:
-        raise ConfigError(
-            f"the F_d ball of radius {radius} is cut at {DEFAULT_MAX_BALL} elements "
-            f"or {DEFAULT_MAX_LEAVES} leaves; use a smaller radius"
-        )
-    return ball
-
-
-def run_verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
-    result = cloning.verify_axioms(
-        system,
-        n_max=params["n"],
-        exhaustive=params["exhaustive"],
-        budget=params["budget"],
-        seed=seed,
-    )
-    report = ExperimentReport(
-        params=params,
-        series={"checked": result["checked"]},
-        verdict="pass" if result["ok"] else "fail",
-        evidence=EVIDENCE_EXHAUSTIVE if params["exhaustive"] else EVIDENCE_SAMPLED,
-    )
-    if not result["ok"]:
-        report.witnesses.append(
-            f"{result['axiom']} fails at {result['counterexample']}"
-        )
-    return report
-
-
-def run_probe(system, params: dict, seed: int) -> ExperimentReport:
-    if params["property"] is None:
-        raise ConfigError(
-            f"probe needs a property, one of {', '.join(cloning.PROBE_PROPERTIES)}"
-        )
-    result = cloning.probe_property(
-        system, params["property"], n_max=params["n"], budget=params["budget"], seed=seed
-    )
-    report = ExperimentReport(
-        params=params,
-        series={"verdict_detail": result["verdict"]},
-        verdict="fail" if result["verdict"] == "fails" else "pass",
-        evidence=EVIDENCE_EXHAUSTIVE
-        if result["verdict"] == "holds-exhaustive"
-        else EVIDENCE_SAMPLED,
-    )
-    if result["verdict"] == "fails":
-        report.witnesses.append(str(result["counterexample"]))
-    return report
-
-
-def run_diversity(system, params: dict, seed: int) -> ExperimentReport:
-    n = params["n"]
-    result = cloning.diversity_witness(
-        system, n, budget=params["budget"], seed=seed, exhaustive=params["exhaustive"]
-    )
-    witness = result["witness"]
-    report = ExperimentReport(
-        params={"n": n, "budget": params["budget"]},
-        series={"witness_found": witness is not None},
-        verdict="witness" if witness is not None else "no-witness",
-        evidence=EVIDENCE_EXHAUSTIVE if result["exhaustive"] else EVIDENCE_SAMPLED,
-    )
-    if witness is not None:
-        report.witnesses.append(
-            system.family.to_text(n + system.d - 1, witness)
-        )
-    return report
-
-
-def run_growth(count: Callable, system, params: dict, seed: int) -> ExperimentReport:
-    """Per-element counts over the F_d balls of radius 1..radius."""
-    radius = params["radius"]
-    if radius < 1:
-        raise ConfigError("radius must be >= 1")
-    elements = _elements_for(system, params, seed)
-    balls = [_fd_ball(system, L) for L in range(1, radius + 1)]
-    series: dict = {"radii": list(range(1, radius + 1))}
-    ok = True
-    for i, x in enumerate(elements):
-        counts = [count(x, ball) for ball in balls]
-        series[f"element_{i}"] = counts
-        if any(a > b for a, b in zip(counts, counts[1:])):
-            ok = False  # monotonicity in the radius is an exact invariant
-    return ExperimentReport(
-        params={"radius": radius, "count": len(elements)},
-        series=series,
-        witnesses=[element_text(x) for x in elements],
-        verdict="pass" if ok else "fail",
-    )
-
-
-def run_normalizer(system, params: dict, seed: int) -> ExperimentReport:
-    radius, one_sided = params["radius"], params["one_sided"]
-    if radius < 1:
-        raise ConfigError("radius must be >= 1")
-    elements = _elements_for(system, params, seed)
-    ball = _fd_ball(system, radius)
-    series: dict = {"radius": radius, "results": []}
-    all_normalize = True
-    witnesses = []
-    for x in elements:
-        ok, failing = analysis.normalizes_up_to(x, ball, one_sided=one_sided)
-        series["results"].append(ok)
-        witnesses.append(element_text(x))
-        if not ok:
-            all_normalize = False
-            witnesses.append(f"failing conjugator: {element_text(failing)}")
-    return ExperimentReport(
-        params={"radius": radius, "one_sided": one_sided},
-        series=series,
-        witnesses=witnesses,
-        verdict="pass" if all_normalize else "fail",
-    )
-
-
-def run_mixing(system, params: dict, seed: int) -> ExperimentReport:
-    d = system.d
-    rng = random.Random(seed)
-    if params["tree"]:
-        R = parse_tree(params["tree"], d)
-    elif system.pure:
-        R = caret(d)
-    else:
-        # non-pure systems need room for a nontrivial middle fixing the leaf
-        R = expand_at(caret(d), d)
-    if params["leaf_word"]:
-        v = tuple(int(c) for c in params["leaf_word"])
-    elif system.pure:
-        v = (1,)
-    else:
-        # the last leaf: slightly pure middles fix its index automatically
-        v = leaf_words(R)[-1]
-    if params["middle"]:
-        g = system.family.parse(R.leaf_count, params["middle"])
-    else:
-        # prefer a nontrivial middle that acts trivially at the graft leaf:
-        # for tuple middles, identity in the grafted slot (the expansions
-        # then only ever clone identity entries, so commutation holds even
-        # without uniformity); for permutation middles, fixing the leaf
-        n = R.leaf_count
-        pos = leaf_index(R, v)
-        identity = system.family.identity(n)
-        g = identity
-        for _ in range(200):
-            cand = system.family.sample(n, rng)
-            if isinstance(system, cloning.ProductSystem):
-                cand = cand[: pos - 1] + (system.base.identity,) + cand[pos:]
-            if cand != identity and perm_apply(system.rho(n, cand), pos) == pos:
-                g = cand
-                break
-    if g == system.family.identity(R.leaf_count):
-        raise ConfigError(
-            "the middle is the identity, so mixing at leaf word "
-            f"{''.join(map(str, v))} checks nothing; give a nontrivial --middle"
-        )
-    # default grafts: one caret hung on the first vs the last leaf of a caret
-    if params["graft_a"]:
-        graft_a = parse_tree(params["graft_a"], d)
-    else:
-        graft_a = expand_at(caret(d), 1)
-    if params["graft_b"]:
-        graft_b = parse_tree(params["graft_b"], d)
-    else:
-        graft_b = expand_at(caret(d), d)
-    result = analysis.mixing_witness(system, R, v, g, graft_a, graft_b)
-    report = ExperimentReport(
-        params={
-            "tree": params["tree"] or "caret",
-            "leaf_word": "".join(str(c) for c in v),
-        },
-        series={
-            "commutes": result["commutes"],
-            "f_nontrivial": result["f_nontrivial"],
-            "uniform_declared": result["uniform_declared"],
-            "middle_fixes_graft_leaf": result["middle_fixes_graft_leaf"],
-        },
-        witnesses=[element_text(result["x"]), element_text(result["f"])],
-        verdict="pass" if result["commutes"] and result["f_nontrivial"] else "fail",
-    )
-    if not result["commutes"]:
-        report.witnesses.append(
-            "commutation failed: counterexample to the premises "
-            "(uniformity, or a middle acting at the grafted leaf)"
-        )
-    return report
-
-
-def run_fpf(system, params: dict, seed: int) -> ExperimentReport:
-    return analysis.fpf_suite(system, n=params["n"], m_max=params["m"], seed=seed)
-
-
-def _random_point(d: int, depth: int, rng) -> "cantor.CantorWord":
-    pre = tuple(rng.randint(1, d) for _ in range(rng.randint(0, depth // 2)))
-    per = tuple(rng.randint(1, d) for _ in range(rng.randint(1, max(1, depth // 2))))
-    return cantor.CantorWord(pre, per)
-
-
-def run_cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
-    if not system.permutation_type:
-        raise ConfigError("cantor-crosscheck needs one of the F/T/V/Vhat systems")
-    radius, budget, depth = params["radius"], params["budget"], params["depth"]
-    rng = random.Random(seed)
-    ball = enumerate_system_ball(system, radius)
-    rng2 = random.Random(seed + 1)
-    sampled = [
-        (random_element(system, rng2), random_element(system, rng2))
-        for _ in range(budget)
-    ]
-    points = [_random_point(system.d, depth, rng) for _ in range(8)]
-    table = lru_cache(maxsize=None)(cantor.from_tree_pair)  # per element, in this call
-    checked = 0
-    points_checked = 0
-    failures = []
-    for x, y in chain(product(ball, repeat=2), sampled):
-        fx, fy = table(x), table(y)
-        composed = fx.compose(fy)
-        if not cantor.from_tree_pair(x * y).equals(composed):
-            failures.append((element_text(x), element_text(y)))
-            break
-        checked += 1
-        if checked % 50 == 0:
-            for p in points:
-                if composed.apply(p) != fx.apply(fy.apply(p)):
-                    failures.append((element_text(x), element_text(y)))
-                    break
-                points_checked += 1
-            if failures:
-                break
-    order_ok = all(cantor.is_order_preserving(table(x)) == x.in_fd() for x in ball)
-    inv_ok = all(table(x.inv()).equals(table(x).invert()) for x in ball)
-    ok = not failures and order_ok and inv_ok
-    report = ExperimentReport(
-        params=params,
-        series={
-            "pairs_checked": checked,
-            "points_checked": points_checked,
-            "order_preserving_iff_fd": order_ok,
-            "inverses_match": inv_ok,
-        },
-        verdict="pass" if ok else "fail",
-    )
-    report.witnesses.extend(f"{a} * {b}" for a, b in failures)
-    return report
-
-
-# name -> (parameter defaults, runner).  A parameter left out of a config,
+# name -> (parameter defaults, experiment).  A parameter left out of a config,
 # or given as null, takes its default; one the experiment does not list is
-# rejected.  A runner takes (system, params with defaults filled in, seed)
-# and returns the report; run() stamps the experiment, system and seed.
-EXPERIMENTS: dict[str, tuple[dict, Callable[..., ExperimentReport]]] = {
-    "verify-axioms": ({"n": 4, "exhaustive": False, "budget": 1000}, run_verify_axioms),
-    "probe": ({"property": None, "n": 4, "budget": 500}, run_probe),
-    "diversity": ({"n": 3, "budget": 500, "exhaustive": None}, run_diversity),
-    "conjugates": (
-        {"radius": 3, "budget": 5, "elements": None},
-        partial(run_growth, analysis.conjugate_count),
-    ),
+# rejected.  An experiment takes (system, params with defaults filled in,
+# seed) and returns the report; run() stamps the experiment, system and seed.
+EXPERIMENTS: dict[str, tuple[dict, Callable]] = {
+    "verify-axioms": ({"n": 4, "exhaustive": False, "budget": 1000}, experiments.verify_axioms),
+    "probe": ({"property": None, "n": 4, "budget": 500}, experiments.probe),
+    "diversity": ({"n": 3, "budget": 500, "exhaustive": None}, experiments.diversity),
+    "conjugates": ({"radius": 3, "budget": 5, "elements": None}, experiments.conjugates),
     "normalizer": (
         {"radius": 3, "budget": 3, "one_sided": False, "elements": None},
-        run_normalizer,
+        experiments.normalizer,
     ),
-    "wahp-orbit": (
-        {"radius": 3, "budget": 3, "elements": None},
-        partial(run_growth, analysis.coset_orbit_count),
-    ),
+    "wahp-orbit": ({"radius": 3, "budget": 3, "elements": None}, experiments.wahp_orbit),
     "mixing": (
         dict.fromkeys(("tree", "leaf_word", "middle", "graft_a", "graft_b")),
-        run_mixing,
+        experiments.mixing,
     ),
-    "fpf": ({"n": 3, "m": 5}, run_fpf),
-    "cantor-crosscheck": ({"radius": 2, "budget": 100, "depth": 12}, run_cantor_crosscheck),
+    "fpf": ({"n": 3, "m": 5}, experiments.fpf),
+    "cantor-crosscheck": (
+        {"radius": 2, "budget": 100, "depth": 12}, experiments.cantor_crosscheck
+    ),
 }
 
 
-def run(config: RunConfig) -> ExperimentReport:
+def run(config: RunConfig) -> experiments.ExperimentReport:
     """Validate, dispatch, and time one experiment."""
     config.validate()
     start = time.monotonic()
-    defaults, runner = EXPERIMENTS[config.experiment]
+    defaults, experiment = EXPERIMENTS[config.experiment]
     params = {
         key: default if config.params.get(key) is None else config.params[key]
         for key, default in defaults.items()
     }
     system = make_system(config.system)
-    report = runner(system, params, config.seed)
+    report = experiment(system, params, config.seed)
     report.experiment, report.system = config.experiment, system.name
     report.seed = config.seed
     report.runtime_ms = int((time.monotonic() - start) * 1000)
@@ -493,7 +216,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 fh.write(report.to_json())
         else:
             sys.stdout.write(report.to_json())
-    except (ConfigError, ValueError, UnsupportedError, OSError) as exc:
+    except (ValueError, UnsupportedError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.verdict in ("pass", "no-witness", "witness") else 1

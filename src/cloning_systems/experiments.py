@@ -1,0 +1,429 @@
+"""The dcs experiments: each turns library results into an ExperimentReport.
+
+An experiment is a function f(system, params, seed) of its parameters with
+defaults filled in; cli.EXPERIMENTS names one per experiment, and cli.run
+stamps the report's experiment, system, seed and runtime_ms.  A refusal is a
+ValueError with a one-line message.  All arithmetic is exact, so a verdict
+over an exhaustive enumeration is a proof at the checked scale, and one over
+samples is labelled consistent-with-theorem; the underlying statements
+quantify over infinite groups and are never "proved" by these runs.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache
+from itertools import chain, product
+
+from . import analysis, cantor, cloning
+from .groups import perm_apply
+from .thompson import (
+    Element,
+    element_text,
+    fd_conjugates,
+    parse_element,
+    powers_closed_form,
+    random_element,
+)
+from .trees import (
+    MAX_TREE_DEPTH,
+    caret,
+    expand_at,
+    leaf_index,
+    leaf_words,
+    parse_tree,
+    right_spine,
+)
+
+EVIDENCE_EXHAUSTIVE = "exhaustive-proof"
+EVIDENCE_SAMPLED = "consistent-with-theorem"
+
+# base elements fpf_suite samples when the base group is infinite
+FPF_SAMPLES = 50
+
+
+@dataclass
+class ExperimentReport:
+    """Reproducible record of one experiment run."""
+
+    experiment: str = ""
+    system: str = ""
+    params: dict = field(default_factory=dict)
+    seed: int = 0
+    series: dict = field(default_factory=dict)
+    witnesses: list = field(default_factory=list)
+    verdict: str = "pass"
+    evidence: str = EVIDENCE_SAMPLED
+    runtime_ms: int = 0
+    schema_version: int = 1
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self, include_runtime: bool = True) -> str:
+        doc = self.to_dict()
+        if not include_runtime:
+            del doc["runtime_ms"]
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ExperimentReport":
+        """Read a report back: the first four fields are required, a missing
+        later one takes its default, and unknown keys are ignored."""
+        names = [f.name for f in fields(cls)]
+        for name in names[:4]:
+            if name not in doc:
+                raise KeyError(name)
+        return cls(**{name: doc[name] for name in names if name in doc})
+
+
+def _elements_for(system, params: dict, seed: int):
+    """The elements a ball experiment checks, once its radius is known to be >= 1."""
+    if params["radius"] < 1:
+        raise ValueError("radius must be >= 1")
+    if params["elements"]:
+        return [parse_element(system, t) for t in params["elements"]]
+    elements = analysis.sample_nontrivial_elements(
+        system, params["budget"], random.Random(seed)
+    )
+    if not elements:
+        raise ValueError("no element to check: give --element or a budget >= 1")
+    return elements
+
+
+def _fd_ball(system, radius: int) -> analysis.FdBall:
+    """The F_d ball of the radius, refused with the cap that cut it short."""
+    ball = analysis.enumerate_fd_ball(system, radius)
+    # the element cap keeps exactly its cap of elements; a ball the leaf cap
+    # cut at that many also has more, since every level from 2 on is nonempty
+    if ball.truncated and len(ball.elements) < analysis.DEFAULT_MAX_BALL:
+        raise ValueError(
+            f"the F_d ball of radius {radius} needs trees of {radius * (system.d - 1) + 1} "
+            f"leaves, above the cap of {analysis.DEFAULT_MAX_LEAVES}; use a smaller radius"
+        )
+    if ball.truncated:
+        raise ValueError(
+            f"the F_d ball of radius {radius} has more than {analysis.DEFAULT_MAX_BALL} "
+            "elements; use a smaller radius"
+        )
+    return ball
+
+
+def verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
+    exhaustive = params["exhaustive"]
+    result = cloning.verify_axioms(
+        system, n_max=params["n"], exhaustive=exhaustive, budget=params["budget"], seed=seed
+    )
+    return ExperimentReport(
+        params=params,
+        series={"checked": result["checked"]},
+        witnesses=[] if result["ok"] else [
+            f"{result['axiom']} fails at {result['counterexample']}"
+        ],
+        verdict="pass" if result["ok"] else "fail",
+        evidence=EVIDENCE_EXHAUSTIVE if exhaustive else EVIDENCE_SAMPLED,
+    )
+
+
+def probe(system, params: dict, seed: int) -> ExperimentReport:
+    if params["property"] is None:
+        raise ValueError(
+            f"probe needs a property, one of {', '.join(cloning.PROBE_PROPERTIES)}"
+        )
+    result = cloning.probe_property(
+        system, params["property"], n_max=params["n"], budget=params["budget"], seed=seed
+    )
+    detail = result["verdict"]
+    return ExperimentReport(
+        params=params,
+        series={"verdict_detail": detail},
+        witnesses=[str(result["counterexample"])] if detail == "fails" else [],
+        verdict="fail" if detail == "fails" else "pass",
+        evidence=EVIDENCE_EXHAUSTIVE if detail == "holds-exhaustive" else EVIDENCE_SAMPLED,
+    )
+
+
+def diversity(system, params: dict, seed: int) -> ExperimentReport:
+    n = params["n"]
+    result = cloning.diversity_witness(
+        system, n, budget=params["budget"], seed=seed, exhaustive=params["exhaustive"]
+    )
+    witness = result["witness"]
+    return ExperimentReport(
+        params={"n": n, "budget": params["budget"]},
+        series={"witness_found": witness is not None},
+        witnesses=[] if witness is None else [system.family.to_text(n + system.d - 1, witness)],
+        verdict="witness" if witness is not None else "no-witness",
+        evidence=EVIDENCE_EXHAUSTIVE if result["exhaustive"] else EVIDENCE_SAMPLED,
+    )
+
+
+def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
+    """Per-element counts over the F_d balls of radius 1..radius."""
+    elements = _elements_for(system, params, seed)
+    radius = params["radius"]
+    radii = range(1, radius + 1)
+    balls = [_fd_ball(system, L) for L in radii]
+    counts = [[count(x, ball) for ball in balls] for x in elements]
+    # monotonicity in the radius is an exact invariant
+    ok = all(a <= b for c in counts for a, b in zip(c, c[1:]))
+    series = {"radii": list(radii)}
+    series.update((f"element_{i}", c) for i, c in enumerate(counts))
+    return ExperimentReport(
+        params={"radius": radius, "count": len(elements)},
+        series=series,
+        witnesses=[element_text(x) for x in elements],
+        verdict="pass" if ok else "fail",
+    )
+
+
+def conjugates(system, params: dict, seed: int) -> ExperimentReport:
+    return _growth(analysis.conjugate_count, system, params, seed)
+
+
+def wahp_orbit(system, params: dict, seed: int) -> ExperimentReport:
+    return _growth(analysis.coset_orbit_count, system, params, seed)
+
+
+def normalizer(system, params: dict, seed: int) -> ExperimentReport:
+    elements = _elements_for(system, params, seed)
+    radius, one_sided = params["radius"], params["one_sided"]
+    ball = _fd_ball(system, radius)
+    results, witnesses = [], []
+    for x in elements:
+        ok, failing = analysis.normalizes_up_to(x, ball, one_sided=one_sided)
+        results.append(ok)
+        witnesses.append(element_text(x))
+        if not ok:
+            witnesses.append(f"failing conjugator: {element_text(failing)}")
+    return ExperimentReport(
+        params={"radius": radius, "one_sided": one_sided},
+        series={"radius": radius, "results": results},
+        witnesses=witnesses,
+        verdict="pass" if all(results) else "fail",
+    )
+
+
+def mixing(system, params: dict, seed: int) -> ExperimentReport:
+    d = system.d
+    rng = random.Random(seed)
+    if params["tree"]:
+        R = parse_tree(params["tree"], d)
+    else:
+        # non-pure systems need room for a nontrivial middle fixing the leaf
+        R = caret(d) if system.pure else expand_at(caret(d), d)
+    if params["leaf_word"]:
+        if not params["leaf_word"].isdecimal():
+            raise ValueError(f"leaf word {params['leaf_word']!r} is not a string of digits")
+        v = tuple(int(c) for c in params["leaf_word"])
+    elif system.pure:
+        v = (1,)
+    else:
+        # the last leaf: slightly pure middles fix its index automatically
+        v = leaf_words(R)[-1]
+    n = R.leaf_count
+    identity = system.family.identity(n)
+    if params["middle"]:
+        g = system.family.parse(n, params["middle"])
+    else:
+        # prefer a nontrivial middle that acts trivially at the graft leaf:
+        # for tuple middles, identity in the grafted slot (the expansions
+        # then only ever clone identity entries, so commutation holds even
+        # without uniformity); for permutation middles, fixing the leaf
+        pos = leaf_index(R, v)
+        g = identity
+        for _ in range(200):
+            cand = system.family.sample(n, rng)
+            if isinstance(system, cloning.ProductSystem):
+                cand = cand[: pos - 1] + (system.base.identity,) + cand[pos:]
+            if cand != identity and perm_apply(system.rho(n, cand), pos) == pos:
+                g = cand
+                break
+    if g == identity:
+        raise ValueError(
+            "the middle is the identity, so mixing at leaf word "
+            f"{''.join(map(str, v))} checks nothing; give a nontrivial --middle"
+        )
+    # default grafts: one caret hung on the first vs the last leaf of a caret
+    graft_a, graft_b = (
+        parse_tree(params[key], d) if params[key] else expand_at(caret(d), i)
+        for key, i in (("graft_a", 1), ("graft_b", d))
+    )
+    result = analysis.mixing_witness(system, R, v, g, graft_a, graft_b)
+    report = ExperimentReport(
+        params={
+            "tree": params["tree"] or "caret",
+            "leaf_word": "".join(str(c) for c in v),
+        },
+        series={
+            key: result[key]
+            for key in ("commutes", "f_nontrivial", "uniform_declared", "middle_fixes_graft_leaf")
+        },
+        witnesses=[element_text(result["x"]), element_text(result["f"])],
+        verdict="pass" if result["commutes"] and result["f_nontrivial"] else "fail",
+    )
+    if not result["commutes"]:
+        report.witnesses.append(
+            "commutation failed: counterexample to the premises "
+            "(uniformity, or a middle acting at the grafted leaf)"
+        )
+    return report
+
+
+def fpf(system, params: dict, seed: int) -> ExperimentReport:
+    return fpf_suite(system, n=params["n"], m_max=params["m"], seed=seed)
+
+
+def fpf_suite(
+    system: cloning.CloningSystem, n: int = 3, m_max: int = 5, seed: int = 0
+) -> ExperimentReport:
+    """Checks around a system prod:<group>:id,<phi> (see is_id_phi_product).
+
+    Premises: phi is an involution without nontrivial fixed points.  Then
+    (a) the alternating tuples land in every cloning image (so the system
+    is not diverse), (b) the spine commutator powers match the closed form,
+    (c) conjugating a nontrivial kernel element by those powers gives
+    pairwise distinct elements, and (d) cloning a fresh copy at different
+    spots disagrees (not uniform).
+    """
+    if not cloning.is_id_phi_product(system):
+        raise ValueError("fpf expects a system of the form prod:<group>:id,<phi>")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m_max < 1:
+        raise ValueError("m must be >= 1")
+    # T below is the right spine on nT leaves, and powers_closed_form(system,
+    # T, 1, nT, k) reduces to trees of depth k + 1; the deepest trees built
+    # are the ell = 4 conjugator, k = 3 nT + 2, and the (m_max + 1)-th power
+    nT = max(n, 2)
+    for name, value, depth in (("n", n, 3 * nT + 3), ("m", m_max, m_max + 2)):
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(
+                f"{name} = {value} builds trees of depth {depth}, "
+                f"past the cap of {MAX_TREE_DEPTH}"
+            )
+    rng = random.Random(seed)
+    base, phi = system.base, system.monos[1]
+    params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
+    pool = base.elements()
+    report = ExperimentReport(
+        experiment="fpf",
+        system=system.name,
+        params=params,
+        seed=seed,
+        evidence=EVIDENCE_SAMPLED if pool is None else EVIDENCE_EXHAUSTIVE,
+    )
+    if pool is None:
+        pool = [base.sample(rng) for _ in range(FPF_SAMPLES)]
+    nontrivial = [g for g in pool if g != base.identity]
+    if not nontrivial:
+        raise ValueError("fpf needs a base group with a nontrivial element")
+
+    premises = {
+        "premise_involution": lambda g: phi.apply(phi.apply(g)) == g,
+        "premise_fixed_point_free": lambda g: g == base.identity or phi.apply(g) != g,
+    }
+    checks: dict[str, bool] = {}
+    for premise, holds in premises.items():
+        breaker = next((g for g in pool if not holds(g)), None)
+        checks[premise] = breaker is None
+        if breaker is not None:
+            report.witnesses.append(f"{premise} fails at {base.to_text(breaker)}")
+    if not all(checks.values()):
+        report.series = {"checks": checks}
+        report.verdict = "premise-failed"
+        return report
+
+    witness_ok = True
+    for level in range(1, n + 1):
+        for g in nontrivial[:5]:
+            pattern = cloning.alternating_tuple(phi, g, level + 1)
+            if not cloning.in_all_images(system, level, pattern):
+                witness_ok = False
+                report.witnesses.append(f"missing at n={level}: {pattern}")
+    checks["nondiversity_witnesses"] = witness_ok
+    if witness_ok:
+        report.witnesses.append(
+            system.family.to_text(n + 1, cloning.alternating_tuple(phi, nontrivial[0], n + 1))
+        )
+
+    T = right_spine(2, nT - 1)
+    base_pair = power = powers_closed_form(system, T, 1, nT, 1)
+    powers_ok = True
+    for m in range(2, m_max + 2):
+        power = power * base_pair  # base_pair ** m, one product per step
+        if powers_closed_form(system, T, 1, nT, m) != power:
+            powers_ok = False
+            break
+    checks["spine_powers_closed_form"] = powers_ok
+
+    x = Element(system, T, (nontrivial[0],) * nT, T)
+    conjugators = [
+        powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
+    ]
+    conjugated = list(fd_conjugates(x, conjugators))
+    checks["conjugates_pairwise_distinct"] = len(set(conjugated)) == len(conjugated)
+
+    constant = ((g,) * n for g in nontrivial[:10])
+    uniform_counterexample = next(
+        (t for t in constant if cloning.property_counterexample(system, "uniform", n, t)),
+        None,
+    )
+    checks["non_uniform"] = uniform_counterexample is not None
+    if uniform_counterexample is not None:
+        report.witnesses.append(system.family.to_text(n, uniform_counterexample))
+
+    report.series = {"checks": checks}
+    report.verdict = "pass" if all(checks.values()) else "fail"
+    return report
+
+
+def _random_point(d: int, depth: int, rng) -> "cantor.CantorWord":
+    pre = tuple(rng.randint(1, d) for _ in range(rng.randint(0, depth // 2)))
+    per = tuple(rng.randint(1, d) for _ in range(rng.randint(1, max(1, depth // 2))))
+    return cantor.CantorWord(pre, per)
+
+
+def cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
+    if not system.permutation_type:
+        raise ValueError("cantor-crosscheck needs one of the F/T/V/Vhat systems")
+    rng = random.Random(seed)
+    ball = analysis.enumerate_system_ball(system, params["radius"])
+    rng2 = random.Random(seed + 1)
+    sampled = [
+        (random_element(system, rng2), random_element(system, rng2))
+        for _ in range(params["budget"])
+    ]
+    points = [_random_point(system.d, params["depth"], rng) for _ in range(8)]
+    table = cache(cantor.from_tree_pair)  # per element, in this call
+    checked = points_checked = 0
+    witnesses = []
+    for x, y in chain(product(ball, repeat=2), sampled):
+        fx, fy = table(x), table(y)
+        composed = fx.compose(fy)
+        ok = cantor.from_tree_pair(x * y).equals(composed)
+        checked += ok
+        if ok and checked % 50 == 0:
+            for p in points:
+                ok = composed.apply(p) == fx.apply(fy.apply(p))
+                if not ok:
+                    break
+                points_checked += 1
+        if not ok:
+            witnesses.append(f"{element_text(x)} * {element_text(y)}")
+            break
+    order_ok = all(cantor.is_order_preserving(table(x)) == x.in_fd() for x in ball)
+    inv_ok = all(table(x.inv()).equals(table(x).invert()) for x in ball)
+    return ExperimentReport(
+        params=params,
+        series={
+            "pairs_checked": checked,
+            "points_checked": points_checked,
+            "order_preserving_iff_fd": order_ok,
+            "inverses_match": inv_ok,
+        },
+        witnesses=witnesses,
+        verdict="pass" if not witnesses and order_ok and inv_ok else "fail",
+    )

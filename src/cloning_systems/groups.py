@@ -75,7 +75,10 @@ def parse_perm(s: str) -> tuple[int, ...]:
     body = s.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError(f"bad permutation text {s!r}")
-    p = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
+    try:
+        p = tuple(int(x) for x in body[1:-1].split(",") if x.strip())
+    except ValueError:
+        raise ValueError(f"bad permutation text {s!r}") from None
     if not is_perm(p):
         raise ValueError(f"{s!r} is not a permutation")
     return p
@@ -171,10 +174,12 @@ class CyclicGroup(BaseGroup):
         return str(g)
 
     def parse(self, s):
-        g = int(s)
-        if not self.contains(g):
-            raise ValueError(f"{s!r} is not a residue mod {self.m}")
-        return g
+        try:
+            if self.contains(g := int(s)):
+                return g
+        except ValueError:
+            pass
+        raise ValueError(f"{s!r} is not a residue mod {self.m}")
 
 
 class FreeGroupAB(BaseGroup):

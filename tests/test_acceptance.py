@@ -15,7 +15,6 @@ from cloning_systems.analysis import (
     coset_orbit_count,
     enumerate_fd_ball,
     enumerate_system_ball,
-    fpf_suite,
     mixing_witness,
     normalizes_up_to,
     sample_nontrivial_elements,
@@ -28,6 +27,7 @@ from cloning_systems.cloning import (
     standard_symmetric_clone,
     verify_axioms,
 )
+from cloning_systems.experiments import fpf_suite
 from cloning_systems.groups import cycle_perm
 from cloning_systems.thompson import (
     Element,

@@ -4,17 +4,19 @@ import random
 import pytest
 
 from cloning_systems.analysis import (
-    EVIDENCE_EXHAUSTIVE,
-    EVIDENCE_SAMPLED,
-    ExperimentReport,
     conjugate_count,
     coset_orbit_count,
     enumerate_fd_ball,
     enumerate_system_ball,
-    fpf_suite,
     mixing_witness,
     normalizes_up_to,
     sample_nontrivial_elements,
+)
+from cloning_systems.experiments import (
+    EVIDENCE_EXHAUSTIVE,
+    EVIDENCE_SAMPLED,
+    ExperimentReport,
+    fpf_suite,
 )
 from cloning_systems.cloning import make_system
 from cloning_systems.groups import cycle_perm

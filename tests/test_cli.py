@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cloning_systems.analysis import DEFAULT_MAX_BALL
+from cloning_systems import analysis, cantor, cloning, experiments
+from cloning_systems.analysis import DEFAULT_MAX_BALL, DEFAULT_MAX_LEAVES
 from cloning_systems.cantor import CantorWord, PrefixMap
 from cloning_systems.cli import (
     EXPERIMENTS,
@@ -17,6 +21,20 @@ from cloning_systems.cli import (
     run,
 )
 from cloning_systems.trees import MAX_TREE_DEPTH
+
+
+def test_benchmark_imports_leave_out_the_experiment_layer():
+    # what perfbench/workloads.py imports at set-up; only cli imports experiments
+    code = (
+        "import sys, cloning_systems; "
+        "from cloning_systems import analysis, cantor, cloning, thompson, trees; "
+        "print('cloning_systems.experiments' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def run_cli(capsys, *argv):
@@ -351,6 +369,21 @@ def _left_comb_element(depth):
     return f"[{comb} ; [{middle}] ; {comb}]"
 
 
+# (system, --element text) -> what is wrong with it
+BAD_ELEMENTS = {
+    ("V", "[(..) ; [1,1] ; (..)]"): "middle-not-a-permutation",
+    ("V", "[(..) ; [1,x] ; (..)]"): "middle-entry-not-an-int",
+    ("V", "[(..) ; (1,2) ; (..)]"): "middle-not-permutation-text",
+    ("T", "[((..).) ; [2,1,3] ; ((..).)]"): "middle-outside-the-family",
+    ("prod:F2:id,swap", "[(..) ; (1,aA) ; (..)]"): "word-not-freely-reduced",
+    ("prod:F2:id,swap", "[(..) ; 1,a ; (..)]"): "bad-tuple-text",
+    ("prod:Z3:id,id", "[(..) ; (1,x) ; (..)]"): "tuple-entry-not-a-residue",
+    ("psi:Z3:id,id", "[(..) ; (1,0) ; (..)]"): "tuple-outside-the-family",
+    ("V", "[(...) ; [1,2,3] ; (...)]"): "wrong-child-count",
+    ("V", "[(.x) ; [1,2] ; (..)]"): "bad-tree-character",
+}
+
+
 @pytest.mark.parametrize(
     "doc, argv",
     [
@@ -389,8 +422,14 @@ def _left_comb_element(depth):
         (None, ["mixing", "--system", "T"]),
         (None, ["mixing", "--system", "V", "--middle", "[1,2,3]"]),
         (None, ["mixing", "--system", "V", "--leaf-word", "3", "--middle", "[2,1,3]"]),
+        (None, ["mixing", "--system", "V", "--leaf-word", "x"]),
         (None, ["diversity", "--system", "prod:F2:id,swap", "--n", "2", "--budget", "0"]),
         (None, ["probe", "pure", "--system", "prod:F2:id,swap", "--budget", "0"]),
+        # parse refusals of --element: groups (middles) and trees
+        *(
+            (None, ["conjugates", "--system", key, "--radius", "1", "--element", text])
+            for key, text in BAD_ELEMENTS
+        ),
         # errors argparse finds: a bad flag value, an unknown flag or choice, no command
         (None, ["conjugates", "--radius", "abc"]),
         (None, ["conjugates", "--system", "V", "--bogus", "1"]),
@@ -411,6 +450,8 @@ def _left_comb_element(depth):
         "fpf-m-past-depth-cap", "element-deeper-than-cap",
         "verify-axioms-arity-one", "mixing-no-nontrivial-middle",
         "mixing-identity-middle", "mixing-leaf-word-out-of-range",
+        "mixing-leaf-word-not-digits",
+        *(f"element-{name}" for name in BAD_ELEMENTS.values()),
         "diversity-budget-zero", "probe-budget-zero",
         "flag-value-not-int", "unknown-flag", "unknown-property", "unknown-command",
         "no-command",
@@ -437,6 +478,126 @@ def test_element_at_the_depth_cap_completes(capsys):
     report = json.loads(out)
     assert report["witnesses"] == [_left_comb_element(MAX_TREE_DEPTH)]
     assert len(report["series"]["element_0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["conjugates", "--system", "V", "--radius", "1", "--element", "[(..) ; [1,x] ; (..)]"],
+            "bad permutation text '[1,x]'",
+        ),
+        (
+            ["conjugates", "--system", "prod:Z3:id,id", "--radius", "1",
+             "--element", "[(..) ; (1,x) ; (..)]"],
+            "'x' is not a residue mod 3",
+        ),
+        (["mixing", "--system", "V", "--leaf-word", "x"], "leaf word 'x' is not a string of digits"),
+    ],
+)
+def test_bad_entry_refusal_names_the_text(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, cut",
+    [
+        (
+            ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"],
+            f"radius 7 has more than {DEFAULT_MAX_BALL} elements",
+        ),
+        (
+            ["conjugates", "--system", "V:21", "--radius", "2", "--budget", "1"],
+            f"radius 2 needs trees of 41 leaves, above the cap of {DEFAULT_MAX_LEAVES}",
+        ),
+        # 20 * 2 + 1 = 41 leaves would pass the leaf cap, but the element cap cuts first
+        (
+            ["normalizer", "--system", "V:3", "--radius", "20", "--budget", "1"],
+            f"radius 20 has more than {DEFAULT_MAX_BALL} elements",
+        ),
+    ],
+    ids=["V-elements", "V:21-leaves", "V:3-elements-before-leaves"],
+)
+def test_truncated_ball_names_the_one_cap_that_cut(capsys, argv, cut):
+    assert run_cli(capsys, *argv) == (2, "", f"error: the F_d ball of {cut}; use a smaller radius\n")
+
+
+def _falling_counts(monkeypatch):
+    # a count that falls with the radius breaks the growth series' monotonicity
+    monkeypatch.setattr(analysis, "conjugate_count", lambda x, ball: 10 - ball.radius)
+
+
+def _inverse_tables(monkeypatch):
+    # x -> table(x^-1) reverses products, yet keeps order and inverses right
+    table = cantor.from_tree_pair
+    monkeypatch.setattr(cantor, "from_tree_pair", lambda x: table(x.inv()))
+
+
+def _moving_points(monkeypatch):
+    calls = iter(range(1, 10**6))
+    monkeypatch.setattr(
+        PrefixMap, "apply", lambda self, p: CantorWord((2,) * next(calls), (1,))
+    )
+
+
+def _images_missing(monkeypatch):
+    monkeypatch.setattr(cloning, "in_all_images", lambda system, n, g: False)
+
+
+def _powers_off_by_one(monkeypatch):
+    closed_form = experiments.powers_closed_form
+    monkeypatch.setattr(
+        experiments,
+        "powers_closed_form",
+        lambda system, T, i, j, m: closed_form(system, T, i, j, m + (m > 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, argv, failed",
+    [
+        (_falling_counts, ["conjugates", "--system", "V", "--radius", "2", "--budget", "1"], {}),
+        (
+            _inverse_tables,
+            ["cantor-crosscheck", "--system", "V", "--radius", "2", "--budget", "0"],
+            {"order_preserving_iff_fd": True, "inverses_match": True},
+        ),
+        (
+            _moving_points,
+            ["cantor-crosscheck", "--system", "V", "--radius", "1", "--budget", "200"],
+            {"pairs_checked": 50, "points_checked": 0},
+        ),
+        (
+            _images_missing,
+            ["fpf", "--system", "prod:Z3:id,inv"],
+            {"checks": {
+                "premise_involution": True, "premise_fixed_point_free": True,
+                "nondiversity_witnesses": False, "spine_powers_closed_form": True,
+                "conjugates_pairwise_distinct": True, "non_uniform": True,
+            }},
+        ),
+        (
+            _powers_off_by_one,
+            ["fpf", "--system", "prod:Z3:id,inv"],
+            {"checks": {
+                "premise_involution": True, "premise_fixed_point_free": True,
+                "nondiversity_witnesses": True, "spine_powers_closed_form": False,
+                "conjugates_pairwise_distinct": True, "non_uniform": True,
+            }},
+        ),
+    ],
+    ids=[
+        "growth-not-monotone", "crosscheck-table-mismatch", "crosscheck-point-mismatch",
+        "fpf-missing-witness", "fpf-closed-form",
+    ],
+)
+def test_fail_verdict_exits_one_with_a_witness(capsys, monkeypatch, patch, argv, failed):
+    patch(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["verdict"] == "fail" and report["witnesses"]
+    assert report["series"] | failed == report["series"]
 
 
 def test_truncated_ball_exits_two_naming_radius_and_cap(capsys):

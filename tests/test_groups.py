@@ -231,6 +231,28 @@ def test_text_roundtrip_per_family():
             assert family.parse(n, family.to_text(n, g)) == g
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_perm, "[1,x]", "bad permutation text '[1,x]'"),
+        (parse_perm, "[1, 2.0]", "bad permutation text '[1, 2.0]'"),
+        (parse_perm, "(1,2)", "bad permutation text '(1,2)'"),
+        (parse_perm, "[1,1]", "'[1,1]' is not a permutation"),
+        (CyclicGroup(3).parse, "x", "'x' is not a residue mod 3"),
+        (CyclicGroup(3).parse, "", "'' is not a residue mod 3"),
+        (CyclicGroup(3).parse, "3", "'3' is not a residue mod 3"),
+        (FreeGroupAB().parse, "aA", "'aA' is not freely reduced"),
+        (lambda s: ProductFamily(CyclicGroup(3)).parse(2, s), "(1,x)", "'x' is not a residue mod 3"),
+        (lambda s: ProductFamily(CyclicGroup(3)).parse(2, s), "1,2", "bad tuple text '1,2'"),
+        (lambda s: CyclicShiftFamily().parse(3, s), "[2,1,3]", "'[2,1,3]' is not in"),
+    ],
+)
+def test_parse_refusals_name_the_bad_text(parse, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message)
+
+
 def test_free_group_membership_rejects_foreign_letters():
     base = FreeGroupAB()
     assert base.contains("aB")
