@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .cloning import CloningSystem
@@ -33,13 +34,18 @@ from .trees import (
     trees_with_carets,
 )
 
-DEFAULT_MAX_BALL = 20000
-DEFAULT_MAX_LEAVES = 40
+# cap on the tree leaves an F_d ball may hold (see enumerate_fd_ball)
+MAX_BALL_LEAVES = 1_500_000
+# cap on the elements of a system ball
+MAX_SYSTEM_BALL = 20000
 
 
 @dataclass
 class FdBall:
-    """All reduced identity-middle tree pairs with at most L carets per tree."""
+    """All reduced identity-middle tree pairs with at most L carets per tree.
+
+    A truncated ball is one refused before it was built: it has no elements.
+    """
 
     system: CloningSystem
     radius: int
@@ -47,46 +53,38 @@ class FdBall:
     truncated: bool = False
 
 
-def enumerate_fd_ball(
-    system: CloningSystem,
-    radius: int,
-    max_elements: int = DEFAULT_MAX_BALL,
-    max_leaves: int = DEFAULT_MAX_LEAVES,
-) -> FdBall:
-    """Enumerate the F_d truncation of the given radius.
+def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
+    """Enumerate the F_d truncation of the given radius, or refuse it unbuilt.
 
-    A pair with identity middle is reduced exactly when no caret can be
-    deleted from both trees at the same leaf block, so reducedness is a
-    direct tree test here.
+    Level c holds at most F^2 pairs of trees with n = (d-1)c + 1 leaves,
+    F = C(dc, c)/n the Fuss-Catalan count of d-ary trees with c carets; a
+    ball whose levels could hold more than MAX_BALL_LEAVES tree leaves in
+    all, 2 n F^2 per level, is returned truncated and empty.  A pair with
+    identity middle is reduced exactly when no caret can be deleted from
+    both trees at the same leaf block, so reducedness is a direct tree test.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     d = system.d
+    leaves = 0
+    for c in range(radius + 1):
+        n = (d - 1) * c + 1
+        leaves += 2 * n * (comb(d * c, c) // n) ** 2
+        if leaves > MAX_BALL_LEAVES:
+            return FdBall(system, radius, (), True)
     out = []
-    truncated = False
     for carets in range(radius + 1):
-        n = carets * (d - 1) + 1
-        if n > max_leaves:
-            truncated = True
-            break
         shapes = trees_with_carets(d, carets)
-        ident = system.family.identity(n)
+        ident = system.family.identity(carets * (d - 1) + 1)
         carets_of = [removable_carets(s) for s in shapes]
         for T, crT in zip(shapes, carets_of):
             for U, crU in zip(shapes, carets_of):
-                if crT & crU:
-                    continue
-                out.append(_element(system, T, ident, U))
-                if len(out) > max_elements:
-                    return FdBall(system, radius, tuple(out[:max_elements]), True)
-    return FdBall(system, radius, tuple(out), truncated)
+                if not crT & crU:
+                    out.append(_element(system, T, ident, U))
+    return FdBall(system, radius, tuple(out))
 
 
-def enumerate_system_ball(
-    system: CloningSystem,
-    radius: int,
-    max_elements: int = DEFAULT_MAX_BALL,
-) -> list[Element]:
+def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
     """All elements [T,g,U] with at most `radius` carets per tree, canonical."""
     d = system.d
     seen: set[Element] = set()
@@ -97,8 +95,11 @@ def enumerate_system_ball(
             for U in shapes:
                 for g in system.family.enumerate(n):
                     seen.add(Element(system, T, g, U))
-                    if len(seen) > max_elements:
-                        raise ValueError("system ball exceeds the element cap")
+                    if len(seen) > MAX_SYSTEM_BALL:
+                        raise ValueError(
+                            f"the system ball of radius {radius} has more than "
+                            f"{MAX_SYSTEM_BALL} elements; use a smaller radius"
+                        )
     return sorted(seen, key=lambda x: (x.n, tree_text(x.T), str(x.g), tree_text(x.U)))
 
 

@@ -99,7 +99,10 @@ def parse_cantor_word(s: str) -> CantorWord:
     per = tail[:-1]
     if not per:
         raise ValueError(f"empty period in {s!r}")
-    return CantorWord(tuple(int(c) for c in head), tuple(int(c) for c in per))
+    try:
+        return CantorWord(tuple(int(c) for c in head), tuple(int(c) for c in per))
+    except ValueError:
+        raise ValueError(f"bad letter in point text {s!r}") from None
 
 
 def tail_equivalent(a: CantorWord, b: CantorWord) -> bool:

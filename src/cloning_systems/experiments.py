@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
-from itertools import chain, product
+from itertools import chain, combinations, product
 
 from . import analysis, cantor, cloning
 from .groups import perm_apply
@@ -94,19 +94,12 @@ def _elements_for(system, params: dict, seed: int):
 
 
 def _fd_ball(system, radius: int) -> analysis.FdBall:
-    """The F_d ball of the radius, refused with the cap that cut it short."""
+    """The F_d ball of the radius, refused when its leaf bound passes the cap."""
     ball = analysis.enumerate_fd_ball(system, radius)
-    # the element cap keeps exactly its cap of elements; a ball the leaf cap
-    # cut at that many also has more, since every level from 2 on is nonempty
-    if ball.truncated and len(ball.elements) < analysis.DEFAULT_MAX_BALL:
-        raise ValueError(
-            f"the F_d ball of radius {radius} needs trees of {radius * (system.d - 1) + 1} "
-            f"leaves, above the cap of {analysis.DEFAULT_MAX_LEAVES}; use a smaller radius"
-        )
     if ball.truncated:
         raise ValueError(
-            f"the F_d ball of radius {radius} has more than {analysis.DEFAULT_MAX_BALL} "
-            "elements; use a smaller radius"
+            f"the F_d ball of radius {radius} passes the cap of {analysis.MAX_BALL_LEAVES} "
+            "tree leaves; use a smaller radius"
         )
     return ball
 
@@ -162,10 +155,10 @@ def diversity(system, params: dict, seed: int) -> ExperimentReport:
 
 def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
     """Per-element counts over the F_d balls of radius 1..radius."""
-    elements = _elements_for(system, params, seed)
     radius = params["radius"]
     radii = range(1, radius + 1)
     balls = [_fd_ball(system, L) for L in radii]
+    elements = _elements_for(system, params, seed)
     counts = [[count(x, ball) for ball in balls] for x in elements]
     # monotonicity in the radius is an exact invariant
     ok = all(a <= b for c in counts for a, b in zip(c, c[1:]))
@@ -188,9 +181,9 @@ def wahp_orbit(system, params: dict, seed: int) -> ExperimentReport:
 
 
 def normalizer(system, params: dict, seed: int) -> ExperimentReport:
-    elements = _elements_for(system, params, seed)
     radius, one_sided = params["radius"], params["one_sided"]
-    ball = _fd_ball(system, radius)
+    ball = _fd_ball(system, max(radius, 0))  # _elements_for refuses radius < 1
+    elements = _elements_for(system, params, seed)
     results, witnesses = [], []
     for x in elements:
         ok, failing = analysis.normalizes_up_to(x, ball, one_sided=one_sided)
@@ -351,22 +344,29 @@ def fpf_suite(
 
     T = right_spine(2, nT - 1)
     base_pair = power = powers_closed_form(system, T, 1, nT, 1)
-    powers_ok = True
+    checks["spine_powers_closed_form"] = True
     for m in range(2, m_max + 2):
         power = power * base_pair  # base_pair ** m, one product per step
         if powers_closed_form(system, T, 1, nT, m) != power:
-            powers_ok = False
+            checks["spine_powers_closed_form"] = False
+            report.witnesses.append(f"spine_powers_closed_form fails at m={m}")
             break
-    checks["spine_powers_closed_form"] = powers_ok
 
     x = Element(system, T, (nontrivial[0],) * nT, T)
     conjugators = [
         powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
     ]
     conjugated = list(fd_conjugates(x, conjugators))
-    checks["conjugates_pairwise_distinct"] = len(set(conjugated)) == len(conjugated)
+    clash = next(
+        ((i, j) for (i, a), (j, b) in combinations(enumerate(conjugated, 1), 2) if a == b), None
+    )
+    checks["conjugates_pairwise_distinct"] = clash is None
+    if clash is not None:
+        report.witnesses.append(
+            f"conjugates_pairwise_distinct fails at ell={clash[0]} and ell={clash[1]}"
+        )
 
-    constant = ((g,) * n for g in nontrivial[:10])
+    constant = [(g,) * n for g in nontrivial[:10]]
     uniform_counterexample = next(
         (t for t in constant if cloning.property_counterexample(system, "uniform", n, t)),
         None,
@@ -374,6 +374,9 @@ def fpf_suite(
     checks["non_uniform"] = uniform_counterexample is not None
     if uniform_counterexample is not None:
         report.witnesses.append(system.family.to_text(n, uniform_counterexample))
+    else:
+        tried = ", ".join(system.family.to_text(n, t) for t in constant)
+        report.witnesses.append(f"non_uniform fails at n={n}: uniform on {tried}")
 
     report.series = {"checks": checks}
     report.verdict = "pass" if all(checks.values()) else "fail"
@@ -414,16 +417,25 @@ def cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
         if not ok:
             witnesses.append(f"{element_text(x)} * {element_text(y)}")
             break
-    order_ok = all(cantor.is_order_preserving(table(x)) == x.in_fd() for x in ball)
-    inv_ok = all(table(x.inv()).equals(table(x).invert()) for x in ball)
+    # the first ball element each table check fails at, or None
+    breakers = {
+        "order_preserving_iff_fd": next(
+            (x for x in ball if cantor.is_order_preserving(table(x)) != x.in_fd()), None
+        ),
+        "inverses_match": next(
+            (x for x in ball if not table(x.inv()).equals(table(x).invert())), None
+        ),
+    }
+    witnesses += [
+        f"{check} fails at {element_text(x)}" for check, x in breakers.items() if x is not None
+    ]
     return ExperimentReport(
         params=params,
         series={
             "pairs_checked": checked,
             "points_checked": points_checked,
-            "order_preserving_iff_fd": order_ok,
-            "inverses_match": inv_ok,
+            **{check: x is None for check, x in breakers.items()},
         },
         witnesses=witnesses,
-        verdict="pass" if not witnesses and order_ok and inv_ok else "fail",
+        verdict="fail" if witnesses else "pass",
     )

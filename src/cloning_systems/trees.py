@@ -8,8 +8,8 @@ vertices are addressed by words over {1,..,d} with the root at the empty
 word.  The canonical text form is preorder: "." for a leaf, "(c1...cd)" for
 a node, e.g. "((..).)" is the binary left comb on 3 leaves, depths (2, 2, 1).
 Every operation on a tree is a loop or a splice over the depths and does
-not recurse.  Only the enumerator recurses: trees_with_carets to a depth
-equal to its caret count, and _compositions to a depth of d.
+not recurse.  Only the enumerator recurses: trees_with_carets, to a depth
+equal to its caret count.
 
 Carets are found by cone alignment.  With top the deepest leaf, a leaf at
 depth e covers d^(top-e) of the d^top cells at depth top, and its left end
@@ -25,7 +25,8 @@ scan the nesting itself (_closes).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, combinations_with_replacement, islice, product
+from operator import sub
 from typing import Iterator, Optional
 
 # deepest tree parse_tree accepts: an input bound on tree texts, which also
@@ -428,12 +429,13 @@ def trees_with_carets(d: int, carets: int) -> tuple[Tree, ...]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The tuples of `parts` naturals summing to total, in lexicographic order.
+
+    Stars and bars: parts - 1 cuts, non-decreasing in 0..total, split 0..total
+    into the parts, and cuts in lexicographic order give parts in that order.
+    """
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 def random_tree(d: int, carets: int, rng) -> Tree:

@@ -132,15 +132,29 @@ def test_ball_scans_each_shape_once_in_pairwise_order(key, radius, monkeypatch):
     assert ball.elements == tuple(expected) and not ball.truncated
     shapes = [t for c in range(radius + 1) for t in trees_with_carets(system.d, c)]
     assert scanned == shapes
-    cut = enumerate_fd_ball(system, radius, max_elements=len(expected) // 2)
-    assert cut.truncated and cut.elements == tuple(expected[: len(expected) // 2])
 
 
-def test_ball_truncation_guard():
-    ball = enumerate_fd_ball(V, 4, max_elements=10)
-    assert ball.truncated and len(ball.elements) == 10
-    ball2 = enumerate_fd_ball(V, 6, max_leaves=4)
-    assert ball2.truncated
+@pytest.mark.parametrize(
+    "key, radius, admitted",
+    [("V", 6, True), ("V", 7, False), ("V:3", 4, True), ("V:3", 5, False), ("V:10", 3, True)],
+)
+def test_ball_cap_bounds_the_tree_leaves_held(key, radius, admitted):
+    from cloning_systems.analysis import MAX_BALL_LEAVES
+
+    ball = enumerate_fd_ball(make_system(key), radius)
+    assert ball.truncated is not admitted
+    held = sum(x.T.leaf_count + x.U.leaf_count for x in ball.elements)
+    assert held <= MAX_BALL_LEAVES
+
+
+def test_ball_truncation_guard(monkeypatch):
+    from cloning_systems import analysis
+
+    # a refused ball is decided by its leaf bound alone: no tree is built
+    monkeypatch.setattr(analysis, "trees_with_carets", None)
+    for system, radius in ((V, 7), (make_system("V:100000"), 2)):
+        ball = enumerate_fd_ball(system, radius)
+        assert ball.truncated and ball.elements == ()
 
 
 def test_conjugate_count_identity():

@@ -69,6 +69,21 @@ def test_cantor_word_rejects_empty_period():
         CantorWord((1,), ())
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("12", "bad point text '12'; expected pre(period)"),
+        ("1()", "empty period in '1()'"),
+        ("1(x)", "bad letter in point text '1(x)'"),
+        ("0(1)", "bad letter in point text '0(1)'"),
+    ],
+)
+def test_point_text_refusals_name_the_text(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_cantor_word(text)
+    assert str(exc.value) == message
+
+
 def test_tail_equivalence():
     assert tail_equivalent(parse_cantor_word("111(21)"), parse_cantor_word("(12)"))
     assert not tail_equivalent(parse_cantor_word("(1)"), parse_cantor_word("(2)"))

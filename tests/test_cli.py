@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cloning_systems import analysis, cantor, cloning, experiments
-from cloning_systems.analysis import DEFAULT_MAX_BALL, DEFAULT_MAX_LEAVES
+from cloning_systems.analysis import MAX_BALL_LEAVES, MAX_SYSTEM_BALL
 from cloning_systems.cantor import CantorWord, PrefixMap
 from cloning_systems.cli import (
     EXPERIMENTS,
@@ -334,6 +334,8 @@ def test_run_config_validation():
         RunConfig(system="V", experiment="probe", params={"n": -1}).validate()
     with pytest.raises(ConfigError):
         RunConfig(system="V", experiment="probe", seed="x").validate()
+    with pytest.raises(ConfigError, match="^params must be a JSON object$"):
+        run(RunConfig(system="V", experiment="conjugates", params=[1]))
 
 
 def test_unreadable_config_exit_two(capsys):
@@ -500,26 +502,35 @@ def test_bad_entry_refusal_names_the_text(capsys, argv, line):
 
 
 @pytest.mark.parametrize(
-    "argv, cut",
+    "argv, radius",
     [
-        (
-            ["normalizer", "--system", "V", "--radius", "7", "--budget", "1"],
-            f"radius 7 has more than {DEFAULT_MAX_BALL} elements",
-        ),
-        (
-            ["conjugates", "--system", "V:21", "--radius", "2", "--budget", "1"],
-            f"radius 2 needs trees of 41 leaves, above the cap of {DEFAULT_MAX_LEAVES}",
-        ),
-        # 20 * 2 + 1 = 41 leaves would pass the leaf cap, but the element cap cuts first
-        (
-            ["normalizer", "--system", "V:3", "--radius", "20", "--budget", "1"],
-            f"radius 20 has more than {DEFAULT_MAX_BALL} elements",
-        ),
+        (["normalizer", "--system", "V", "--radius", "7", "--budget", "1"], 7),
+        (["conjugates", "--system", "V:100000", "--radius", "2", "--budget", "1"], 2),
+        # refused before sampling, which would build trees of 2 * 10^9 leaves
+        (["conjugates", "--system", "V:1000000000", "--radius", "1", "--budget", "1"], 1),
+        (["normalizer", "--system", "V:3", "--radius", "20", "--budget", "1"], 20),
     ],
-    ids=["V-elements", "V:21-leaves", "V:3-elements-before-leaves"],
+    ids=["V-radius-7", "V:100000-radius-2", "V:1000000000-radius-1", "V:3-radius-20"],
 )
-def test_truncated_ball_names_the_one_cap_that_cut(capsys, argv, cut):
-    assert run_cli(capsys, *argv) == (2, "", f"error: the F_d ball of {cut}; use a smaller radius\n")
+def test_truncated_ball_names_the_one_cap_that_cut(capsys, argv, radius):
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: the F_d ball of radius {radius} passes the cap of {MAX_BALL_LEAVES} "
+        "tree leaves; use a smaller radius\n",
+    )
+
+
+@pytest.mark.parametrize("system, radius", [("V:21", 2), ("V:41", 1)])
+def test_small_balls_of_large_arity_run(capsys, system, radius):
+    # 421 elements of trees with at most 41 leaves, and the identity alone
+    code, out, err = run_cli(
+        capsys, "conjugates", "--system", system, "--radius", str(radius), "--budget", "1"
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["verdict"] == "pass"
+    assert report["series"]["radii"] == list(range(1, radius + 1))
 
 
 def _falling_counts(monkeypatch):
@@ -553,61 +564,125 @@ def _powers_off_by_one(monkeypatch):
     )
 
 
+def _order_always_kept(monkeypatch):
+    monkeypatch.setattr(cantor, "is_order_preserving", lambda f: True)
+
+
+def _inverse_is_self(monkeypatch):
+    monkeypatch.setattr(PrefixMap, "invert", lambda self: self)
+
+
+def _conjugates_repeat(monkeypatch):
+    monkeypatch.setattr(experiments, "fd_conjugates", lambda x, fs: [x for _ in fs])
+
+
+def _everything_uniform(monkeypatch):
+    monkeypatch.setattr(cloning, "property_counterexample", lambda *args: None)
+
+
+def _fpf_checks(**failed):
+    checks = dict.fromkeys(
+        ("premise_involution", "premise_fixed_point_free", "nondiversity_witnesses",
+         "spine_powers_closed_form", "conjugates_pairwise_distinct", "non_uniform"),
+        True,
+    )
+    return {"checks": checks | failed}
+
+
 @pytest.mark.parametrize(
-    "patch, argv, failed",
+    "patch, argv, failed, witness",
     [
-        (_falling_counts, ["conjugates", "--system", "V", "--radius", "2", "--budget", "1"], {}),
+        (
+            _falling_counts,
+            ["conjugates", "--system", "V", "--radius", "2", "--budget", "1"],
+            {},
+            "[(.(..)) ; [3,1,2] ; (.(..))]",
+        ),
         (
             _inverse_tables,
             ["cantor-crosscheck", "--system", "V", "--radius", "2", "--budget", "0"],
             {"order_preserving_iff_fd": True, "inverses_match": True},
+            "[(..) ; [2,1] ; (..)] * [((..).) ; [1,2,3] ; (.(..))]",
         ),
         (
             _moving_points,
             ["cantor-crosscheck", "--system", "V", "--radius", "1", "--budget", "200"],
             {"pairs_checked": 50, "points_checked": 0},
+            "[. ; [1] ; .] * [. ; [1] ; .]",
+        ),
+        (
+            _order_always_kept,
+            ["cantor-crosscheck", "--system", "V", "--radius", "1", "--budget", "0"],
+            {"order_preserving_iff_fd": False, "inverses_match": True},
+            "order_preserving_iff_fd fails at [(..) ; [2,1] ; (..)]",
+        ),
+        (
+            # the swap at radius 1 is its own inverse, so the first miss has 3 leaves
+            _inverse_is_self,
+            ["cantor-crosscheck", "--system", "V", "--radius", "2", "--budget", "0"],
+            {"order_preserving_iff_fd": True, "inverses_match": False},
+            "inverses_match fails at [((..).) ; [1,2,3] ; (.(..))]",
         ),
         (
             _images_missing,
             ["fpf", "--system", "prod:Z3:id,inv"],
-            {"checks": {
-                "premise_involution": True, "premise_fixed_point_free": True,
-                "nondiversity_witnesses": False, "spine_powers_closed_form": True,
-                "conjugates_pairwise_distinct": True, "non_uniform": True,
-            }},
+            _fpf_checks(nondiversity_witnesses=False),
+            "missing at n=1: (1, 2)",
         ),
         (
             _powers_off_by_one,
             ["fpf", "--system", "prod:Z3:id,inv"],
-            {"checks": {
-                "premise_involution": True, "premise_fixed_point_free": True,
-                "nondiversity_witnesses": True, "spine_powers_closed_form": False,
-                "conjugates_pairwise_distinct": True, "non_uniform": True,
-            }},
+            _fpf_checks(spine_powers_closed_form=False),
+            "spine_powers_closed_form fails at m=2",
+        ),
+        (
+            _conjugates_repeat,
+            ["fpf", "--system", "prod:Z3:id,inv"],
+            _fpf_checks(conjugates_pairwise_distinct=False),
+            "conjugates_pairwise_distinct fails at ell=1 and ell=2",
+        ),
+        (
+            _everything_uniform,
+            ["fpf", "--system", "prod:Z3:id,inv"],
+            _fpf_checks(non_uniform=False),
+            "non_uniform fails at n=3: uniform on (1,1,1), (2,2,2)",
         ),
     ],
     ids=[
         "growth-not-monotone", "crosscheck-table-mismatch", "crosscheck-point-mismatch",
-        "fpf-missing-witness", "fpf-closed-form",
+        "crosscheck-order", "crosscheck-inverse", "fpf-missing-witness", "fpf-closed-form",
+        "fpf-pairwise-distinct", "fpf-non-uniform",
     ],
 )
-def test_fail_verdict_exits_one_with_a_witness(capsys, monkeypatch, patch, argv, failed):
+def test_fail_verdict_exits_one_with_a_witness(
+    capsys, monkeypatch, patch, argv, failed, witness
+):
+    # each failing check names its own witness, not only the passing checks'
     patch(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (1, "")
     report = json.loads(out)
-    assert report["verdict"] == "fail" and report["witnesses"]
+    assert report["verdict"] == "fail" and witness in report["witnesses"]
     assert report["series"] | failed == report["series"]
 
 
 def test_truncated_ball_exits_two_naming_radius_and_cap(capsys):
-    # the V ball of radius 7 passes DEFAULT_MAX_BALL elements
+    # the V ball of radius 7 could hold more than MAX_BALL_LEAVES tree leaves
     code, out, err = run_cli(
         capsys, "conjugates", "--system", "V", "--radius", "7", "--budget", "1"
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "radius 7" in err and str(DEFAULT_MAX_BALL) in err
+    assert "radius 7" in err and str(MAX_BALL_LEAVES) in err
+
+
+def test_system_ball_refusal_names_radius_and_cap(capsys):
+    assert run_cli(capsys, "cantor-crosscheck", "--system", "V", "--radius", "4") == (
+        2,
+        "",
+        f"error: the system ball of radius 4 has more than {MAX_SYSTEM_BALL} elements; "
+        "use a smaller radius\n",
+    )
 
 
 JSON_VALUES = st.recursive(

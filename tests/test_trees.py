@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from cloning_systems.trees import (
     MAX_TREE_DEPTH,
     Tree,
     _closes,
+    _compositions,
     _tree,
     agree_away_from,
     caret,
@@ -510,9 +512,36 @@ def test_right_spine_shape():
 
 
 def test_trees_with_carets_counts():
-    # Catalan for d=2, Fuss-Catalan for d=3
+    # Catalan for d=2, Fuss-Catalan C(dc, c)/((d-1)c + 1) for every d: the
+    # count F(d, c) that the F_d ball's leaf bound squares
     assert [len(trees_with_carets(2, c)) for c in range(6)] == [1, 1, 2, 5, 14, 42]
     assert [len(trees_with_carets(3, c)) for c in range(4)] == [1, 1, 3, 12]
+    for d in range(2, 6):
+        for c in range(6):
+            assert len(trees_with_carets(d, c)) == comb(d * c, c) // ((d - 1) * c + 1)
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_recursive_order():
+    for total in range(7):
+        for parts in range(1, 8):
+            assert list(_compositions(total, parts)) == list(
+                _recursive_compositions(total, parts)
+            )
+
+
+def test_trees_with_carets_at_a_large_arity():
+    # a composition over d parts no longer recurses d levels deep
+    (t,) = trees_with_carets(1200, 1)
+    assert t.leaf_count == 1200 and t.depths == (1,) * 1200
 
 
 def test_graft_rejects_steps_outside_one_to_d():
