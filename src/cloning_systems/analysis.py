@@ -12,9 +12,7 @@ pairs, which keeps every count exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .cloning import CloningSystem
 from .groups import perm_apply
@@ -40,17 +38,21 @@ MAX_BALL_LEAVES = 1_500_000
 MAX_SYSTEM_BALL = 20000
 
 
-@dataclass
 class FdBall:
     """All reduced identity-middle tree pairs with at most L carets per tree.
 
     A truncated ball is one refused before it was built: it has no elements.
     """
 
-    system: CloningSystem
-    radius: int
-    elements: tuple
-    truncated: bool = False
+    __slots__ = ("system", "radius", "elements", "truncated")
+
+    def __init__(
+        self, system: CloningSystem, radius: int, elements: tuple, truncated: bool = False
+    ):
+        self.system = system
+        self.radius = radius
+        self.elements = elements
+        self.truncated = truncated
 
 
 def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
@@ -116,7 +118,7 @@ def conjugate_count(x: Element, ball: FdBall) -> int:
 
 def normalizes_up_to(
     x: Element, ball: FdBall, one_sided: bool = False
-) -> tuple[bool, Optional[Element]]:
+) -> tuple[bool, Element | None]:
     """Check x^{-1} f x stays in F_d over the ball (both directions by default).
 
     Returns (ok, first failing f).  Passing at a radius is evidence that x

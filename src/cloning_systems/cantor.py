@@ -14,8 +14,8 @@ of these tables.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from operator import itemgetter
-from typing import Iterable, Optional
 
 from .groups import UnsupportedError, perm_identity
 from .thompson import Element
@@ -450,7 +450,7 @@ class PrefixMap:
     def identity(d: int) -> "PrefixMap":
         return _prefix_map(d, (((), (), identity_element(d)),))
 
-    def rule_at(self, word: Word) -> Optional[Rule]:
+    def rule_at(self, word: Word) -> Rule | None:
         """The rule whose domain word is a prefix of word, or None.
 
         The domain words are sorted and prefix-free, so only the last one
@@ -609,7 +609,7 @@ def _normalize_rules(rules: Iterable[Rule], d: int) -> list[Rule]:
 
 def _try_merge(
     states: list[AutomatonElement], last: tuple[int, ...], d: int
-) -> Optional[AutomatonElement]:
+) -> AutomatonElement | None:
     """The first candidate with root permutation last and sections equal to states."""
     if last == perm_identity(d) and not any(s.word for s in states):
         return states[0]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from itertools import chain
-from typing import Optional
 
 from .groups import (
     BaseGroup,
@@ -58,7 +57,7 @@ def standard_symmetric_clone(
 
 def try_symmetric_unclone(
     pp: tuple[int, ...], k: int, d: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Collapse d parallel arrows at block k, or None if no preimage exists.
 
     pp must be a permutation (every caller passes an element of G_{n+d-1}),
@@ -289,9 +288,9 @@ def check_axiom(
     n: int,
     g=None,
     h=None,
-    k: Optional[int] = None,
-    l: Optional[int] = None,
-    i: Optional[int] = None,
+    k: int | None = None,
+    l: int | None = None,
+    i: int | None = None,
 ) -> tuple[bool, dict]:
     """Evaluate one instance of C1, C2 or C3 exactly.
 
@@ -366,7 +365,7 @@ PROBE_PROPERTIES = ("pure", "slightly_pure", "fully_compatible", "uniform")
 
 def property_counterexample(
     system: CloningSystem, prop: str, n: int, g
-) -> Optional[dict]:
+) -> dict | None:
     """Counterexample for one element, or None if the property holds on it."""
     d = system.d
     if prop == "pure":
@@ -494,7 +493,7 @@ def diversity_witness(
     n: int,
     budget: int = 500,
     seed: int = 0,
-    exhaustive: Optional[bool] = None,
+    exhaustive: bool | None = None,
 ) -> dict:
     """Search for a nontrivial element in the intersection of all clone images.
 

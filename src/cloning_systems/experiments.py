@@ -22,7 +22,7 @@ from .groups import perm_apply
 from .thompson import (
     Element,
     element_text,
-    fd_conjugates,
+    fd_conjugate_keys,
     parse_element,
     powers_closed_form,
     random_element,
@@ -335,7 +335,8 @@ def fpf_suite(
             pattern = cloning.alternating_tuple(phi, g, level + 1)
             if not cloning.in_all_images(system, level, pattern):
                 witness_ok = False
-                report.witnesses.append(f"missing at n={level}: {pattern}")
+                text = system.family.to_text(level + 1, pattern)
+                report.witnesses.append(f"missing at n={level}: {text}")
     checks["nondiversity_witnesses"] = witness_ok
     if witness_ok:
         report.witnesses.append(
@@ -356,9 +357,10 @@ def fpf_suite(
     conjugators = [
         powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
     ]
-    conjugated = list(fd_conjugates(x, conjugators))
+    # within one system, equal keys are equal conjugates
+    keys = list(fd_conjugate_keys(x, conjugators))
     clash = next(
-        ((i, j) for (i, a), (j, b) in combinations(enumerate(conjugated, 1), 2) if a == b), None
+        ((i, j) for (i, a), (j, b) in combinations(enumerate(keys, 1), 2) if a == b), None
     )
     checks["conjugates_pairwise_distinct"] = clash is None
     if clash is not None:

@@ -10,11 +10,10 @@ product families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from itertools import product as _itertools_product
-from typing import Callable, Optional
 
 
 class UnsupportedError(Exception):
@@ -134,7 +133,7 @@ class BaseGroup:
     def sample(self, rng):
         raise NotImplementedError
 
-    def elements(self) -> Optional[tuple]:
+    def elements(self) -> tuple | None:
         """All elements, or None when the group is infinite."""
         return None
 
@@ -229,13 +228,18 @@ class FreeGroupAB(BaseGroup):
 # monomorphisms G -> G
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Monomorphism:
-    """Injective endomorphism with a partial inverse on its image."""
+    """Injective endomorphism with a partial inverse on its image.
 
-    label: str
-    apply: Callable
-    try_preimage: Callable
+    Fields are read-only by contract.
+    """
+
+    __slots__ = ("label", "apply", "try_preimage")
+
+    def __init__(self, label: str, apply: Callable, try_preimage: Callable):
+        self.label = label
+        self.apply = apply
+        self.try_preimage = try_preimage
 
 
 _SWAP_TABLE = str.maketrans("abAB", "baBA")

@@ -15,8 +15,8 @@ copy of the Higman-Thompson group F_d.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
 
 from .cloning import CloningSystem, make_system
 from .groups import UnsupportedError, perm_apply
@@ -115,7 +115,7 @@ def expand_triple(t: Triple, k: int) -> Triple:
     )
 
 
-def _reduce(system: CloningSystem, T: Optional[Tree], g, U: Tree, rng=None) -> tuple:
+def _reduce(system: CloningSystem, T: Tree | None, g, U: Tree, rng=None) -> tuple:
     """Collapse carets until none applies; returns (T, g, U).
 
     Block k of U collapses wherever g = clone_k(g0).  Given a left tree T,
@@ -149,7 +149,7 @@ def _reduce(system: CloningSystem, T: Optional[Tree], g, U: Tree, rng=None) -> t
             return T, g, U
 
 
-def reduce_triple(t: Triple, rng: Optional[random.Random] = None) -> Triple:
+def reduce_triple(t: Triple, rng: random.Random | None = None) -> Triple:
     """Contract removable carets until none applies (see _reduce).
 
     Returns t itself when nothing collapses.

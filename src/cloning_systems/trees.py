@@ -24,10 +24,10 @@ scan the nesting itself (_closes).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, islice, product
 from operator import sub
-from typing import Iterator, Optional
 
 # deepest tree parse_tree accepts: an input bound on tree texts, which also
 # sets fpf's caps on n and m
@@ -372,9 +372,7 @@ def forest_sites(d: int, forest: list) -> dict[int, frozenset[int]]:
     return sites
 
 
-def agree_away_from(
-    t: Tree, u: Tree
-) -> Optional[tuple[tuple[int, ...], Tree]]:
+def agree_away_from(t: Tree, u: Tree) -> tuple[tuple[int, ...], Tree] | None:
     """Witness (v, R): both trees arise from R by gluing a tree at R's leaf v.
 
     Only proper vertices (|v| >= 1) count; leaf addresses of t are tried

@@ -24,17 +24,20 @@ from cloning_systems.trees import MAX_TREE_DEPTH
 
 
 def test_benchmark_imports_leave_out_the_experiment_layer():
-    # what perfbench/workloads.py imports at set-up; only cli imports experiments
+    # what perfbench/workloads.py imports at set-up; only cli imports experiments,
+    # and the layer modules load no dataclasses or typing (-S: no site hook
+    # loads them first)
     code = (
         "import sys, cloning_systems; "
         "from cloning_systems import analysis, cantor, cloning, thompson, trees; "
-        "print('cloning_systems.experiments' in sys.modules)"
+        "print([m for m in ('cloning_systems.experiments', 'dataclasses', 'inspect', "
+        "'typing', 're') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def run_cli(capsys, *argv):
@@ -573,7 +576,7 @@ def _inverse_is_self(monkeypatch):
 
 
 def _conjugates_repeat(monkeypatch):
-    monkeypatch.setattr(experiments, "fd_conjugates", lambda x, fs: [x for _ in fs])
+    monkeypatch.setattr(experiments, "fd_conjugate_keys", lambda x, fs: [x for _ in fs])
 
 
 def _everything_uniform(monkeypatch):
@@ -627,7 +630,7 @@ def _fpf_checks(**failed):
             _images_missing,
             ["fpf", "--system", "prod:Z3:id,inv"],
             _fpf_checks(nondiversity_witnesses=False),
-            "missing at n=1: (1, 2)",
+            "missing at n=1: (1,2)",
         ),
         (
             _powers_off_by_one,
