@@ -95,7 +95,7 @@ def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
         shapes = trees_with_carets(d, carets)
         for T in shapes:
             for U in shapes:
-                for g in system.family.enumerate(n):
+                for g in system.family.iterate(n):
                     seen.add(Element(system, T, g, U))
                     if len(seen) > MAX_SYSTEM_BALL:
                         raise ValueError(

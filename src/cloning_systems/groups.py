@@ -193,14 +193,26 @@ class FreeGroupAB(BaseGroup):
         self.max_word_len = max_word_len
 
     def mul(self, g, h):
-        return free_mul(g, h)
+        # g and h are reduced, so letters cancel only where the two words meet
+        i, m = 0, min(len(g), len(h))
+        while i < m and g[-1 - i] == h[i].swapcase():
+            i += 1
+        return g[: len(g) - i] + h[i:]
 
     def inv(self, g):
         return free_inv(g)
 
     def contains(self, g):
-        # strip leaves a character exactly when g has a letter outside aAbB
-        return isinstance(g, str) and not g.strip(FREE_LETTERS) and free_reduce(g) == g
+        # strip leaves a character exactly when g has a letter outside aAbB;
+        # a word over aAbB is reduced exactly when no letter meets its inverse
+        return (
+            isinstance(g, str)
+            and not g.strip(FREE_LETTERS)
+            and "aA" not in g
+            and "Aa" not in g
+            and "bB" not in g
+            and "Bb" not in g
+        )
 
     def sample(self, rng):
         length = rng.randint(0, self.max_word_len)
@@ -301,8 +313,17 @@ class GroupFamily:
     def is_finite(self, n: int) -> bool:
         raise NotImplementedError
 
-    def enumerate(self, n: int):
+    def iterate(self, n: int):
+        """G_n's elements one at a time, for loops that may stop early.
+
+        Raises UnsupportedError at the call, before any element, when G_n
+        cannot be enumerated.
+        """
         raise UnsupportedError(f"{self.name} G_{n} cannot be enumerated")
+
+    def enumerate(self, n: int) -> tuple:
+        """All of G_n, in the order of iterate."""
+        return tuple(self.iterate(n))
 
     def to_text(self, n: int, g) -> str:
         raise NotImplementedError
@@ -347,8 +368,8 @@ class SymmetricFamily(PermutationFamily):
         rng.shuffle(images)
         return tuple(images)
 
-    def enumerate(self, n):
-        return tuple(_itertools_permutations(range(1, n + 1)))
+    def iterate(self, n):
+        return _itertools_permutations(range(1, n + 1))
 
 
 class CyclicShiftFamily(PermutationFamily):
@@ -361,8 +382,8 @@ class CyclicShiftFamily(PermutationFamily):
         """The rotation i -> i + j (mod n), for 0 <= j < n."""
         return (*range(j + 1, n + 1), *range(1, j + 1))
 
-    def enumerate(self, n):
-        return tuple(self._rotation(n, j) for j in range(n))
+    def iterate(self, n):
+        return (self._rotation(n, j) for j in range(n))
 
     def contains(self, n, g):
         # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
@@ -390,10 +411,8 @@ class StabilizerFamily(PermutationFamily):
         rng.shuffle(images)
         return tuple(images) + (n,)
 
-    def enumerate(self, n):
-        return tuple(
-            p + (n,) for p in _itertools_permutations(range(1, n))
-        )
+    def iterate(self, n):
+        return (p + (n,) for p in _itertools_permutations(range(1, n)))
 
 
 class TrivialPermFamily(PermutationFamily):
@@ -407,7 +426,7 @@ class TrivialPermFamily(PermutationFamily):
     def sample(self, n, rng):
         return perm_identity(n)
 
-    def enumerate(self, n):
+    def iterate(self, n):
         return (perm_identity(n),)
 
 
@@ -438,11 +457,11 @@ class ProductFamily(GroupFamily):
     def is_finite(self, n):
         return self.base.elements() is not None
 
-    def enumerate(self, n):
+    def iterate(self, n):
         elems = self.base.elements()
         if elems is None:
             raise UnsupportedError(f"{self.name} is infinite")
-        return tuple(_itertools_product(elems, repeat=n))
+        return _itertools_product(elems, repeat=n)
 
     def to_text(self, n, g):
         return "(" + ",".join(self.base.to_text(a) for a in g) + ")"
@@ -471,5 +490,5 @@ class PsiFamily(ProductFamily):
     def sample(self, n, rng):
         return (self.base.identity,) + super().sample(n - 1, rng)
 
-    def enumerate(self, n):
-        return tuple((self.base.identity,) + rest for rest in super().enumerate(n - 1))
+    def iterate(self, n):
+        return ((self.base.identity,) + rest for rest in super().iterate(n - 1))

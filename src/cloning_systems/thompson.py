@@ -106,12 +106,14 @@ def _triple(system: CloningSystem, T: Tree, g, U: Tree) -> Triple:
 
 def expand_triple(t: Triple, k: int) -> Triple:
     """Expansion at leaf k of the right tree (and at rho(g)(k) of the left)."""
-    n = t.n
+    system, g, n = t.sys, t.g, t.T.leaf_count
     if not 1 <= k <= n:
         raise IndexError(f"expansion position {k} out of range 1..{n}")
-    j = perm_apply(t.sys.rho(n, t.g), k)
     return _triple(
-        t.sys, expand_at(t.T, j), t.sys.clone(n, k, t.g), expand_at(t.U, k)
+        system,
+        expand_at(t.T, system.rho(n, g)[k - 1]),
+        system.clone(n, k, g),
+        expand_at(t.U, k),
     )
 
 
@@ -266,7 +268,7 @@ def mul(x: Element, y: Element) -> Element:
         tx = expand_triple(tx, k)
     ty = y.triple()
     for j in y_path:
-        ty = expand_triple(ty, y.sys.rho(ty.n, ty.g).index(j) + 1)
+        ty = expand_triple(ty, y.sys.rho(ty.T.leaf_count, ty.g).index(j) + 1)
     n = w.leaf_count
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)
 

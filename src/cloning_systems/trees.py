@@ -39,7 +39,7 @@ class Tree:
 
     __slots__ = ("d", "depths", "leaf_count", "is_leaf", "_hash")
 
-    def __init__(self, d: int, children: tuple = ()):
+    def __new__(cls, d: int, children: tuple = ()):
         if d < 2:
             raise ValueError(f"arity must be >= 2, got {d}")
         if children and len(children) != d:
@@ -47,14 +47,7 @@ class Tree:
         for c in children:
             if c.d != d:
                 raise ValueError("mixed arities in one tree")
-        self._set(d, tuple(e + 1 for c in children for e in c.depths) or (0,))
-
-    def _set(self, d: int, depths: tuple) -> None:
-        self.d = d
-        self.depths = depths
-        self.leaf_count = len(depths)
-        self.is_leaf = len(depths) == 1
-        self._hash = hash((d, depths))
+        return _tree(d, tuple(e + 1 for c in children for e in c.depths) or (0,))
 
     @property
     def children(self) -> tuple:
@@ -64,7 +57,11 @@ class Tree:
         return tuple(_tree(self.d, kid) for kid in root_subtrees(self.d, self.depths))
 
     def __hash__(self):
-        return self._hash
+        # computed on first use: most trees a product builds are never hashed
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.d, self.depths))
+        return h
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -76,9 +73,14 @@ class Tree:
 
 
 def _tree(d: int, depths: tuple) -> Tree:
-    """Trusted constructor: depths must be a complete d-ary prefix code."""
+    """Trusted constructor, and the one place a tree's fields are set:
+    depths must be a complete d-ary prefix code."""
     t = object.__new__(Tree)
-    t._set(d, depths)
+    t.d = d
+    t.depths = depths
+    t.leaf_count = n = len(depths)
+    t.is_leaf = n == 1
+    t._hash = None
     return t
 
 
@@ -139,17 +141,19 @@ def _refine(d: int, a: list, b: list) -> tuple[list[int], list[int]]:
     """
     path_a: list[int] = []
     path_b: list[int] = []
-    i = 0
-    while i < len(a):
-        x, y = a[i], b[i]
-        if x < y:
+    i, n = 0, len(a)
+    while i < n:
+        x = a[i]
+        y = b[i]
+        if x == y:
+            i += 1
+        elif x < y:
             a[i : i + 1] = [x + 1] * d
             path_a.append(i + 1)
-        elif y < x:
+            n += d - 1
+        else:
             b[i : i + 1] = [y + 1] * d
             path_b.append(i + 1)
-        else:
-            i += 1
     return path_a, path_b
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -555,3 +556,19 @@ def test_system_ball_enumerates_canonical_elements():
     assert Element.identity(V) in ball
     swap = Element(V, caret(2), cycle_perm(2, (1, 2)), caret(2))
     assert swap in ball
+
+
+def test_system_ball_refuses_before_building_all_of_g_n():
+    # radius 1 of V:9 pairs one caret with each of the 9! = 362880 middles
+    # of S_9; G_9 is read one element at a time, so the cap stops the loop
+    # holding the 20001 elements it has when it refuses (about 7 MB), not 9!
+    # tuples
+    system = make_system("V:9")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than 20000 elements"):
+            enumerate_system_ball(system, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

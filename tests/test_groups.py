@@ -159,11 +159,24 @@ def test_free_reduce_examples():
         free_reduce("xyz")
 
 
-@given(st.text(alphabet="aAbB", max_size=30))
-def test_free_reduce_idempotent_and_inverse(word):
+@given(
+    st.text(alphabet="aAbB", max_size=30),
+    st.text(alphabet="aAbB", max_size=30),
+    st.text(alphabet="aAbBx", max_size=12),
+)
+def test_free_reduce_idempotent_and_inverse(word, other, text):
     reduced = free_reduce(word)
     assert free_reduce(reduced) == reduced
     assert free_mul(reduced, free_inv(reduced)) == ""
+    # the F2 kernels against free_reduce: the junction product of reduced
+    # words, and membership by substring search
+    f2 = FreeGroupAB()
+    v = free_reduce(other)
+    assert f2.mul(reduced, v) == free_reduce(reduced + v)
+    assert f2.mul(reduced, f2.inv(reduced)) == ""
+    assert f2.contains(text) == ("x" not in text and free_reduce(text) == text)
+    for outsider in (None, 1, ["a"]):
+        assert not f2.contains(outsider)
 
 
 def test_swap_monomorphism():

@@ -377,6 +377,20 @@ def test_text_roundtrip():
         d = rng.choice((2, 3))
         t = random_tree(d, rng.randint(0, 5), rng)
         assert parse_tree(tree_text(t), d) == t
+        # every constructor leaves the hash to first use, and it is the hash
+        # of (d, depths), so equal trees built different ways are one set entry
+        built = [
+            Tree(d, (t,) + tuple(Tree(d) for _ in range(d - 1))),
+            _tree(d, tuple(e + 1 for e in t.depths) + (1,) * (d - 1)),
+            expand_at(t, 1),
+            collapse_at(expand_at(t, t.leaf_count), t.leaf_count),
+            parse_tree(tree_text(t), d),
+        ]
+        for u in built:
+            assert u._hash is None
+            assert hash(u) == hash((u.d, u.depths)) == u._hash
+        assert built[0] == built[1] and built[3] == built[4] == t
+        assert len({*built, t}) == len({(u.d, u.depths) for u in (*built, t)})
     assert tree_text(leaf(2)) == "."
     assert tree_text(caret(2)) == "(..)"
     assert tree_text(expand_at(caret(2), 1)) == "((..).)"
