@@ -120,8 +120,8 @@ def run(config: RunConfig) -> experiments.ExperimentReport:
     return report
 
 
-# Parameter flags on every subcommand (an experiment rejects those it does not take)
-_COMMON_PARAM_HELP = {
+# Help for the parameter flags whose name alone says too little
+_PARAM_HELP = {
     "n": "group level bound",
     "radius": "ball radius: max carets per tree",
     "m": "power / chain length bound",
@@ -131,9 +131,9 @@ _COMMON_PARAM_HELP = {
 }
 
 
-def _add_param_flag(p: argparse.ArgumentParser, key: str, help=None) -> None:
+def _add_param_flag(p: argparse.ArgumentParser, key: str) -> None:
     """The flag for a parameter, in the form its type calls for."""
-    kind = PARAM_TYPES[key]
+    kind, help = PARAM_TYPES[key], _PARAM_HELP.get(key)
     flag = "--" + key.replace("_", "-")
     if key == "property":
         p.add_argument(key, nargs="?", choices=cloning.PROBE_PROPERTIES)
@@ -145,15 +145,6 @@ def _add_param_flag(p: argparse.ArgumentParser, key: str, help=None) -> None:
         p.add_argument(flag, type=kind, help=help, metavar="TEXT" if kind is str else None)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--system", help="registry key, e.g. V, Vhat, V:3, psi:Z3:id,id")
-    for key, help in _COMMON_PARAM_HELP.items():
-        _add_param_flag(p, key, help)
-    p.add_argument("--seed", type=int, help="random seed (default $DCS_SEED or 0)")
-    p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error as one ConfigError line."""
 
@@ -162,20 +153,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # report's experiment is known only once its config is read, so it takes
+    # every parameter; abbreviations are refused, as one could name another flag
     parser = _Parser(
         prog="dcs",
         description="Finite-scale experiments on cloning-system Thompson-like groups.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (defaults, _) in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common_flags(p)
-        for key in defaults:
-            if key not in _COMMON_PARAM_HELP:
-                _add_param_flag(p, key)
-    p = sub.add_parser("report", help="run an experiment described by --config")
-    _add_common_flags(p)
-    p.add_argument("--experiment", help="experiment name when no config file is given")
+    rows = {name: defaults for name, (defaults, _) in EXPERIMENTS.items()}
+    for name, params in {**rows, "report": PARAM_TYPES}.items():
+        what = f"the {name} experiment" if name in rows else "an experiment described by --config"
+        p = sub.add_parser(name, help="run " + what, allow_abbrev=False)
+        p.add_argument("--system", help="registry key, e.g. V, Vhat, V:3, psi:Z3:id,id")
+        for key in params:
+            _add_param_flag(p, key)
+        p.add_argument("--seed", type=int, help="random seed (default $DCS_SEED or 0)")
+        p.add_argument("--out", help="write the JSON report to this path")
+        p.add_argument("--config", help="JSON config file; flags override its fields")
     return parser
 
 
@@ -203,7 +198,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         **{k: v for k, v in flags.items() if k in PARAM_TYPES},
     }
     if merged["seed"] is None:
-        merged["seed"] = int(os.environ.get("DCS_SEED") or 0)
+        env = os.environ.get("DCS_SEED") or "0"
+        try:
+            merged["seed"] = int(env)
+        except ValueError:
+            raise ConfigError(f"DCS_SEED must be an integer, got {env!r}") from None
     return RunConfig(**merged)
 
 

@@ -420,7 +420,7 @@ def probe_property(
         raise ValueError(f"sampled probe checks no element at budget {budget}")
     for n in range(1, n_max + 1):
         if exhaustive:
-            elems = system.family.enumerate(n)
+            elems = system.family.iterate(n)
         else:
             per_level = budget // n_max + (n <= budget % n_max)
             elems = [system.family.sample(n, rng) for _ in range(per_level)]
@@ -510,7 +510,7 @@ def diversity_witness(
     if exhaustive is None:
         exhaustive = fam.is_finite(big)
     if exhaustive:
-        candidates = fam.enumerate(big)
+        candidates = fam.iterate(big)
     else:  # constructed candidates first, then samples drawn only as needed
         samples = (fam.sample(big, rng) for _ in range(budget))
         candidates = chain(_pattern_candidates(system, n, rng, budget), samples)

@@ -161,7 +161,7 @@ class CyclicGroup(BaseGroup):
         return (-g) % self.m
 
     def contains(self, g):
-        return isinstance(g, int) and 0 <= g < self.m
+        return type(g) is int and 0 <= g < self.m
 
     def sample(self, rng):
         return rng.randrange(self.m)

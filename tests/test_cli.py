@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,14 +48,21 @@ def run_cli(capsys, *argv):
 
 
 def test_help_contract_for_every_subcommand(capsys):
+    # besides the shared flags, an experiment's help lists the flags of its
+    # own parameters and no other; report's lists them all, and no --experiment
+    flag_of = {key: "--" + key.replace("_", "-") for key in PARAM_TYPES if key != "property"}
+    flag_of["elements"] = "--element"
+    shared = {"--help", "--system", "--seed", "--out", "--config"}
     parser = build_parser()
-    for name in list(EXPERIMENTS) + ["report"]:
+    rows = {name: defaults for name, (defaults, _) in EXPERIMENTS.items()}
+    for name, params in {**rows, "report": PARAM_TYPES}.items():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([name, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--system", "--seed", "--out", "--budget"):
-            assert flag in out
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
+        assert listed == shared | {flag_of[key] for key in params if key in flag_of}, name
+        assert ("{pure,slightly_pure," in out) == ("property" in params), name
 
 
 def test_help_through_main_exits_zero_with_the_full_text(capsys):
@@ -330,6 +338,15 @@ def test_env_seed_default(monkeypatch, capsys):
     assert json.loads(out)["seed"] == 9
 
 
+def test_env_seed_that_is_no_integer_exits_two_naming_it(monkeypatch, capsys):
+    monkeypatch.setenv("DCS_SEED", "abc")
+    code, out, err = run_cli(capsys, "diversity", "--system", "V")
+    assert (code, out) == (2, "")
+    assert err == "error: DCS_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed leaves the variable unread
+    assert run_cli(capsys, "diversity", "--system", "V", "--seed", "1")[0] == 0
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(system="V", experiment="nope").validate()
@@ -404,6 +421,11 @@ BAD_ELEMENTS = {
         (None, ["conjugates", "--system", "V", "--m", "3"]),
         (None, ["diversity", "--system", "V", "--radius", "2"]),
         (None, ["mixing", "--system", "V", "--budget", "2"]),
+        # abbreviations are refused, even where only one flag would match
+        (None, ["mixing", "--system", "V", "--m", "3"]),
+        (None, ["mixing", "--system", "V", "--midd", "[2,1,3]"]),
+        (None, ["conjugates", "--system", "V", "--rad", "2"]),
+        (None, ["report", "--system", "V", "--experiment=diversity"]),
         (None, ["conjugates", "--system", "F", "--radius", "1", "--budget", "100"]),
         (None, ["fpf", "--system", "prod:Z3:id,inv", "--n", "0"]),
         (None, ["verify-axioms", "--system", "V", "--n", "0"]),
@@ -447,6 +469,8 @@ BAD_ELEMENTS = {
         "experiment-list", "bool-for-int", "unknown-param", "unknown-field",
         "out-int", "flag-m-on-conjugates",
         "flag-radius-on-diversity", "flag-budget-on-mixing",
+        "abbreviated-flag-m-on-mixing", "abbreviated-flag-middle",
+        "abbreviated-flag-radius", "flag-experiment-on-report",
         "budget-beyond-small-elements", "fpf-n-zero", "verify-axioms-n-zero",
         "verify-axioms-budget-zero",
         "probe-n-zero", "conjugates-radius-zero", "conjugates-budget-zero",

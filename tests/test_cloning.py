@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations, product
 from math import factorial
 
@@ -593,6 +594,23 @@ def test_diversity_alternating_witness_swap_products():
             assert image_membership(system, n, k, w)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_sweeps_read_g_n_one_element_at_a_time():
+    # the 40320 permutations of S_8 and the 5040 of S_7 as tuples take about
+    # 4.4 MB and 0.6 MB; a single-pass sweep holds one element at a time
+    V = make_system("V")
+    assert _peak_bytes(lambda: diversity_witness(V, 7)) < 2**20
+    assert _peak_bytes(lambda: probe_property(V, "fully_compatible", n_max=7)) < 2**18
+
+
 def test_diversity_witness_validates_level():
     with pytest.raises(ValueError):
         diversity_witness(make_system("V"), 0)
@@ -726,7 +744,9 @@ def test_tuples_with_entries_of_no_base_type_are_not_members(key):
     system = make_system(key)
     d, fam = system.d, system.family
     e = fam.identity(d)
-    for j, bad in product(range(d), (None, "#", (1,))):
+    # a bool is no residue (permutation entries still pass one: see is_perm)
+    bads = (None, "#", (1,), *((True,) if key.startswith(("prod:", "psi:")) else ()))
+    for j, bad in product(range(d), bads):
         x = e[:j] + (bad,) + e[j + 1 :]
         assert not fam.contains(d, x)
         assert not image_membership(system, 1, 1, x)
