@@ -18,9 +18,10 @@ from .cloning import CloningSystem
 from .groups import perm_apply
 from .thompson import (
     Element,
+    SystemMismatch,
+    _conjugate_keys,
     _element,
     coset_key,
-    fd_conjugate_keys,
     random_element,
 )
 from .trees import (
@@ -41,7 +42,8 @@ MAX_SYSTEM_BALL = 20000
 class FdBall:
     """All reduced identity-middle tree pairs with at most L carets per tree.
 
-    A truncated ball is one refused before it was built: it has no elements.
+    A truncated ball is one refused before it was built: it has no elements,
+    and the counts and checks over balls refuse it.
     """
 
     __slots__ = ("system", "radius", "elements", "truncated")
@@ -53,6 +55,21 @@ class FdBall:
         self.radius = radius
         self.elements = elements
         self.truncated = truncated
+
+    def refuse_truncated(self) -> None:
+        """Raise ValueError, naming the radius and the cap, if the ball is truncated."""
+        if self.truncated:
+            raise ValueError(
+                f"the F_d ball of radius {self.radius} passes the cap of {MAX_BALL_LEAVES} "
+                "tree leaves; use a smaller radius"
+            )
+
+
+def _check_ball(x: Element, ball: FdBall) -> None:
+    """A ball to count or check x over must be a whole ball of x's system."""
+    if ball.system.name != x.sys.name:
+        raise SystemMismatch(f"the F_d ball is of {ball.system.name}, not of {x.sys.name}")
+    ball.refuse_truncated()
 
 
 def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
@@ -108,12 +125,16 @@ def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
 def conjugate_count(x: Element, ball: FdBall) -> int:
     """Number of distinct conjugates f^{-1} x f over f in the ball.
 
-    Each left tree's expansion of x is one step from its parent tree's;
-    each conjugate grafts its forests onto its right tree, is reduced only
-    when that tree has the carets a collapse needs, and is counted by its
-    depth key, with no Element built (see fd_conjugate_keys).
+    The ball is checked once, here: enumerate_fd_ball builds it from
+    identity-middle elements of its own system only, so no conjugator is
+    checked again.  Each left tree's expansion of x is one step from its
+    parent tree's; each conjugate grafts its forests onto its right tree,
+    is reduced only when that tree has the carets a collapse needs, starting
+    at the pair of sites the plan found, and is counted by its depth key,
+    with no Element built (see thompson._conjugate_keys).
     """
-    return len(set(fd_conjugate_keys(x, ball.elements)))
+    _check_ball(x, ball)
+    return len(set(_conjugate_keys(x, ball.elements)))
 
 
 def normalizes_up_to(
@@ -126,8 +147,10 @@ def normalizes_up_to(
 
     x^{-1} f x lies in F_d exactly when f x F_d = x F_d, so each direction
     costs one product and one coset_key per f, against the key of x (or of
-    x^{-1}) taken once.
+    x^{-1}) taken once.  A truncated ball is refused: an empty ball would
+    pass.
     """
+    _check_ball(x, ball)
     xi = x.inv()
     key, key_inv = coset_key(x), coset_key(xi)
     for f in ball.elements:
@@ -140,6 +163,7 @@ def normalizes_up_to(
 
 def coset_orbit_count(x: Element, ball: FdBall) -> int:
     """Distinct cosets (f x)F_d over f in the ball, counted by coset_key."""
+    _check_ball(x, ball)
     return len({coset_key(f * x) for f in ball.elements})
 
 

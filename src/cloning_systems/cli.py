@@ -131,12 +131,18 @@ _PARAM_HELP = {
 }
 
 
-def _add_param_flag(p: argparse.ArgumentParser, key: str) -> None:
-    """The flag for a parameter, in the form its type calls for."""
+def _add_param_flag(p: argparse.ArgumentParser, key: str, positional: bool = False) -> None:
+    """The flag for a parameter, in the form its type calls for.
+
+    positional makes the property the subcommand's optional positional
+    (dcs probe pure), not a flag (dcs report --property pure).
+    """
     kind, help = PARAM_TYPES[key], _PARAM_HELP.get(key)
     flag = "--" + key.replace("_", "-")
-    if key == "property":
+    if key == "property" and positional:
         p.add_argument(key, nargs="?", choices=cloning.PROBE_PROPERTIES)
+    elif key == "property":
+        p.add_argument(flag, choices=cloning.PROBE_PROPERTIES)
     elif kind is list:  # repeatable: --element A --element B
         p.add_argument(flag.removesuffix("s"), action="append", dest=key, metavar="TEXT")
     elif kind is bool:
@@ -167,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="run " + what, allow_abbrev=False)
         p.add_argument("--system", help="registry key, e.g. V, Vhat, V:3, psi:Z3:id,id")
         for key in params:
-            _add_param_flag(p, key)
+            _add_param_flag(p, key, positional=name == "probe")
         p.add_argument("--seed", type=int, help="random seed (default $DCS_SEED or 0)")
         p.add_argument("--out", help="write the JSON report to this path")
         p.add_argument("--config", help="JSON config file; flags override its fields")

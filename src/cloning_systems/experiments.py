@@ -96,11 +96,7 @@ def _elements_for(system, params: dict, seed: int):
 def _fd_ball(system, radius: int) -> analysis.FdBall:
     """The F_d ball of the radius, refused when its leaf bound passes the cap."""
     ball = analysis.enumerate_fd_ball(system, radius)
-    if ball.truncated:
-        raise ValueError(
-            f"the F_d ball of radius {radius} passes the cap of {analysis.MAX_BALL_LEAVES} "
-            "tree leaves; use a smaller radius"
-        )
+    ball.refuse_truncated()
     return ball
 
 

@@ -283,6 +283,25 @@ def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
 def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
     """(left depths, middle, right depths) of f^{-1} x f for each f = [A, 1, B] in fs.
 
+    Each f must be an F_d element of x's system; _conjugate_keys computes
+    the keys.  Within one system, equal keys are equal conjugates, so
+    counting them needs no Element.
+    """
+
+    def checked() -> Iterator[Element]:
+        for f in fs:
+            if f.sys.name != x.sys.name:
+                raise SystemMismatch(f"cannot conjugate {x.sys.name} by {f.sys.name}")
+            if not f.in_fd():
+                raise ValueError(f"conjugator {element_text(f)} is not in F_d")
+            yield f
+
+    return _conjugate_keys(x, checked())
+
+
+def _conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
+    """The keys of fd_conjugate_keys, for identity-middle elements fs of x's system.
+
     Once x is expanded to (T', g', U') with both trees dominating A, T' is A
     with a forest F below its leaves and U' is A with a forest G, and the
     conjugate is [B.F, g', B.G], B with the forest grafted on: expanding f
@@ -292,34 +311,31 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
     left tree, and checks g' once there for all the conjugates that share
     it; the plan is looked up again only when f's left tree changes.  Per
     f, _reduce runs only when B has the carets one of those collapses
-    needs; otherwise its first pass would collapse nothing and the grafted
-    triple is already reduced.  B's carets come from the bounded
-    trees._tree_carets, shared by every x, and most B are turned away by
-    one test against the union of the needs.  Within one system, equal
-    keys are equal conjugates, so counting them needs no Element.
+    needs, and it starts from the first such collapse, made at the pair
+    of sites and with the unclone the plan found for it; otherwise _reduce's
+    first pass would collapse nothing and the grafted triple is already
+    reduced.  B's carets come from the bounded trees._tree_carets, shared
+    by every x, and most B are turned away by one test against the union
+    of the needs.
     """
     system, d = x.sys, x.sys.d
     plan = _conjugation_plans(x)
     A = None
     for f in fs:
-        if f.sys.name != system.name:
-            raise SystemMismatch(f"cannot conjugate {system.name} by {f.sys.name}")
-        if not f.in_fd():
-            raise ValueError(f"conjugator {element_text(f)} is not in F_d")
         if f.T is not A:
             A = f.T
             left, g, right, needs, needed = plan(A.depths)
         B = f.U.depths
-        T, U = graft_forest(B, left), graft_forest(B, right)
-        if (
-            needed
-            and not needed.isdisjoint(carets := _tree_carets(d, B))
-            and any(need <= carets for need in needs)
-        ):
-            T, h, U = _reduce(system, _tree(d, T), g, _tree(d, U))
-            yield T.depths, h, U.depths
-        else:
-            yield T, g, U
+        T, h, U = graft_forest(B, left), g, graft_forest(B, right)
+        if needed and not needed.isdisjoint(carets := _tree_carets(d, B)):
+            for need, (k, j, g0) in needs.items():
+                if need <= carets:
+                    T, h, U = _reduce(
+                        system, collapse_at(_tree(d, T), j), g0, collapse_at(_tree(d, U), k)
+                    )
+                    T, U = T.depths, U.depths
+                    break
+        yield T, h, U
 
 
 @lru_cache(maxsize=4096)
@@ -350,10 +366,12 @@ def _conjugation_plans(x: Element):
     over d trivial trees in a row, and then needs that caret of B; B.F
     likewise (trees.forest_sites).  _reduce's first pass collapses
     at a right site k when g0 = try_unclone(k, g') exists and j = rho(g0)(k)
-    is a left site, and neither depends on B.  needs holds, for each such
-    (k, j), the carets of B both sites need, and needed their union.  No
-    need is empty: a collapse inside both forests would leave a smaller
-    expansion whose trees dominate A.  g' is checked once per A with
+    is a left site, and neither depends on B.  needs maps the carets of B
+    that both sites of such a pair need to the first (k, j, g0) in site
+    order that needs them, and needed is their union; the first need that
+    B has, in that order, is then the collapse _reduce's first pass would
+    make.  No need is empty: a collapse inside both forests would leave a
+    smaller expansion whose trees dominate A.  g' is checked once per A with
     Triple(...)'s message, so a clone that leaves the family is caught.
     """
     system, d = x.sys, x.sys.d
@@ -391,13 +409,14 @@ def _conjugation_plans(x: Element):
         _check_middle(system, n, g)
         left_sites = forest_sites(d, left)
         n_small = n - (d - 1)
-        needs: set[frozenset[int]] = set()
-        for k, need in forest_sites(d, right).items():
+        needs: dict[frozenset[int], tuple] = {}
+        for k, need in sorted(forest_sites(d, right).items()):
             g0 = system.try_unclone(n_small, k, g)
             if g0 is not None:
-                other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
+                j = perm_apply(system.rho(n_small, g0), k)
+                other = left_sites.get(j)
                 if other is not None:
-                    needs.add(need | other)
+                    needs.setdefault(need | other, (k, j, g0))
         needed = frozenset().union(*needs)
         return left, g, right, needs, needed
 

@@ -266,9 +266,16 @@ def test_normalizer_matches_the_product_oracle():
 def test_counts_refuse_a_ball_of_another_system():
     x = fd_generator(V, 0)
     ball = enumerate_fd_ball(make_system("T"), 2)
+    # and a truncated ball, which holds no elements: over it the counts would
+    # read 0 and the normalizer check would pass
+    truncated = enumerate_fd_ball(V, 7)
+    assert truncated.truncated and not truncated.elements
     for check in (conjugate_count, coset_orbit_count, normalizes_up_to):
         with pytest.raises(SystemMismatch):
             check(x, ball)
+        with pytest.raises(ValueError, match="^the F_d ball of radius 7 passes the cap") as exc:
+            check(x, truncated)
+        assert type(exc.value) is ValueError
 
 
 def test_coset_orbit_identity_class():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cloning_systems import analysis, cantor, cloning, experiments
+from cloning_systems import analysis, cantor, cli, cloning, experiments
 from cloning_systems.analysis import MAX_BALL_LEAVES, MAX_SYSTEM_BALL
 from cloning_systems.cantor import CantorWord, PrefixMap
 from cloning_systems.cli import (
@@ -49,8 +49,9 @@ def run_cli(capsys, *argv):
 
 def test_help_contract_for_every_subcommand(capsys):
     # besides the shared flags, an experiment's help lists the flags of its
-    # own parameters and no other; report's lists them all, and no --experiment
-    flag_of = {key: "--" + key.replace("_", "-") for key in PARAM_TYPES if key != "property"}
+    # own parameters and no other; report's lists them all, and no --experiment.
+    # probe takes the property as its positional, report as --property
+    flag_of = {key: "--" + key.replace("_", "-") for key in PARAM_TYPES}
     flag_of["elements"] = "--element"
     shared = {"--help", "--system", "--seed", "--out", "--config"}
     parser = build_parser()
@@ -61,7 +62,8 @@ def test_help_contract_for_every_subcommand(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out))
-        assert listed == shared | {flag_of[key] for key in params if key in flag_of}, name
+        own = {flag_of[key] for key in params if (name, key) != ("probe", "property")}
+        assert listed == shared | own, name
         assert ("{pure,slightly_pure," in out) == ("property" in params), name
 
 
@@ -320,6 +322,18 @@ def test_report_needs_experiment(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--config", str(cfg))
     assert code == 2
     assert "experiment" in err
+
+
+def test_report_takes_the_probe_property_as_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "V", "experiment": "probe"}))
+    code, out, err = run_cli(capsys, "report", "--config", str(cfg), "--property", "pure")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["params"]["property"] == "pure"
+    # a word after report is no property; --experiment is refused by name
+    code, out, err = run_cli(capsys, "report", "--experiment", "diversity", "--system", "V")
+    assert (code, out) == (2, "")
+    assert err == "error: unrecognized arguments: --experiment diversity\n"
 
 
 def test_reports_byte_identical_modulo_runtime():
@@ -607,6 +621,30 @@ def _everything_uniform(monkeypatch):
     monkeypatch.setattr(cloning, "property_counterexample", lambda *args: None)
 
 
+def _unpatched(monkeypatch):
+    pass
+
+
+class _BlockTwistV(cloning.SymmetricSystem):
+    """V whose clone also swaps the first two leaves of the cloned block.
+
+    rho(clone_k(g)) then permutes leaves inside the cloned block, so the
+    system is not fully compatible; no built-in system fails that probe.
+    """
+
+    def __init__(self):
+        super().__init__("V")
+
+    def clone(self, n, k, g):
+        h = list(super().clone(n, k, g))
+        h[k - 1], h[k] = h[k], h[k - 1]
+        return tuple(h)
+
+
+def _block_twist(monkeypatch):
+    monkeypatch.setattr(cli, "make_system", lambda key: _BlockTwistV())
+
+
 def _fpf_checks(**failed):
     checks = dict.fromkeys(
         ("premise_involution", "premise_fixed_point_free", "nondiversity_witnesses",
@@ -674,11 +712,25 @@ def _fpf_checks(**failed):
             _fpf_checks(non_uniform=False),
             "non_uniform fails at n=3: uniform on (1,1,1), (2,2,2)",
         ),
+        (
+            # the transposition moves the last point
+            _unpatched,
+            ["probe", "slightly_pure", "--system", "V"],
+            {"verdict_detail": "fails"},
+            "{'n': 2, 'g': (2, 1), 'rho': (2, 1)}",
+        ),
+        (
+            _block_twist,
+            ["probe", "fully_compatible", "--system", "V"],
+            {"verdict_detail": "fails"},
+            "{'n': 1, 'g': (1,), 'k': 1, 'lhs': (2, 1), 'rhs': (1, 2)}",
+        ),
     ],
     ids=[
         "growth-not-monotone", "crosscheck-table-mismatch", "crosscheck-point-mismatch",
         "crosscheck-order", "crosscheck-inverse", "fpf-missing-witness", "fpf-closed-form",
-        "fpf-pairwise-distinct", "fpf-non-uniform",
+        "fpf-pairwise-distinct", "fpf-non-uniform", "probe-slightly-pure",
+        "probe-fully-compatible",
     ],
 )
 def test_fail_verdict_exits_one_with_a_witness(

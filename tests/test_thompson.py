@@ -454,14 +454,20 @@ def test_fd_conjugates_reduce_exactly_the_triples_that_collapse(key, monkeypatch
             next(conjugates)
             cases.append((x, f, reduced[-1] if len(reduced) > calls else None))
     monkeypatch.undo()  # reduce_triple below reaches the kernel too
-    shortcuts = 0
+    shortcuts, plans = 0, {}
     for x, f, r in cases:
         t = _grafted_conjugate(x, f)
         if r is None:  # the plan says: already reduced
             assert reduce_triple(t) is t
             shortcuts += 1
         else:
-            assert r == t and reduce_triple(t) is not t
+            # the kernel starts from t collapsed at the first pair whose need B has
+            if (x, f.T) not in plans:
+                plans[x, f.T] = _conjugation_plan(x, f.T)[3]
+            carets = removable_carets(f.U)
+            k, j, g0 = next(site for need, site in plans[x, f.T].items() if need <= carets)
+            assert r == Triple(system, collapse_at(t.T, j), g0, collapse_at(t.U, k))
+            assert reduce_triple(t) is not t
     assert shortcuts and reduced
 
 
@@ -487,7 +493,8 @@ def test_one_kernel_reduces_triples_coset_keys_and_conjugates(monkeypatch):
 
 def _conjugation_plan(x, A):
     """Oracle for _conjugation_plans(x)(A): x expanded over A from x itself,
-    split with split_forest, and the collapses that can ever apply."""
+    split with split_forest, and the collapses that can ever apply, each
+    need with its first (k, j, g0) in site order."""
     system = x.sys
     t = x.triple()
     for k in expansion_path(t.U, tree_union(t.U, A)):
@@ -498,13 +505,13 @@ def _conjugation_plan(x, A):
     left, left_sites = split_forest(t.T, A)
     right, right_sites = split_forest(t.U, A)
     n_small = t.n - (system.d - 1)
-    needs = set()
-    for k, need in right_sites.items():
+    needs = {}
+    for k in sorted(right_sites):
         g0 = system.try_unclone(n_small, k, t.g)
         if g0 is not None:
-            other = left_sites.get(perm_apply(system.rho(n_small, g0), k))
-            if other is not None:
-                needs.add(need | other)
+            j = perm_apply(system.rho(n_small, g0), k)
+            if j in left_sites:
+                needs.setdefault(right_sites[k] | left_sites[j], (k, j, g0))
     return left, t.g, right, needs, frozenset().union(*needs)
 
 
@@ -522,16 +529,19 @@ def test_plans_from_the_parent_match_the_plan_from_x(key):
         # ball order reaches each parent first; reversed, one tree the whole chain
         for order in (trees_a, trees_a[::-1]):
             plan = thompson._conjugation_plans(x)
-            assert {A: plan(A.depths) for A in order} == want
+            got = {A: plan(A.depths) for A in order}
+            assert got == want
+            assert all(list(got[A][3]) == list(want[A][3]) for A in order)  # site order
     assert collapses
 
 
-@pytest.mark.parametrize("key", ["V", "prod:F2:id,swap", "V:3", "T"])
+@pytest.mark.parametrize("key", ALL_KEYS)
 def test_conjugate_count_counts_the_distinct_conjugates(key):
+    # against two products per conjugator; on prod: and psi: keys the most conjugates reduce
     system = make_system(key)
-    ball = enumerate_fd_ball(system, 3)
-    for x in sample_nontrivial_elements(system, 6, random.Random(59)):
-        assert conjugate_count(x, ball) == len(set(fd_conjugates(x, ball.elements)))
+    ball = enumerate_fd_ball(system, 4 if system.d == 2 else 3)
+    for x in sample_nontrivial_elements(system, 6, random.Random(59), max_carets=3):
+        assert conjugate_count(x, ball) == len({f.inv() * x * f for f in ball.elements})
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
