@@ -21,6 +21,7 @@ from .thompson import (
     SystemMismatch,
     _conjugate_keys,
     _element,
+    _reduce,
     coset_key,
     random_element,
 )
@@ -104,22 +105,27 @@ def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
 
 
 def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
-    """All elements [T,g,U] with at most `radius` carets per tree, canonical."""
+    """All elements [T,g,U] with at most `radius` carets per tree, canonical.
+
+    Each element has exactly one reduced triple, so the ball is the triples
+    that _reduce leaves unchanged, with no duplicate to remove.
+    """
     d = system.d
-    seen: set[Element] = set()
+    out = []
     for carets in range(radius + 1):
         n = carets * (d - 1) + 1
         shapes = trees_with_carets(d, carets)
         for T in shapes:
             for U in shapes:
                 for g in system.family.iterate(n):
-                    seen.add(Element(system, T, g, U))
-                    if len(seen) > MAX_SYSTEM_BALL:
-                        raise ValueError(
-                            f"the system ball of radius {radius} has more than "
-                            f"{MAX_SYSTEM_BALL} elements; use a smaller radius"
-                        )
-    return sorted(seen, key=lambda x: (x.n, tree_text(x.T), str(x.g), tree_text(x.U)))
+                    if _reduce(system, T, g, U)[2] is U:
+                        out.append(_element(system, T, g, U))
+                        if len(out) > MAX_SYSTEM_BALL:
+                            raise ValueError(
+                                f"the system ball of radius {radius} has more than "
+                                f"{MAX_SYSTEM_BALL} elements; use a smaller radius"
+                            )
+    return sorted(out, key=lambda x: (x.n, tree_text(x.T), str(x.g), tree_text(x.U)))
 
 
 def conjugate_count(x: Element, ball: FdBall) -> int:

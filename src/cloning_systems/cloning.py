@@ -338,7 +338,7 @@ def verify_axioms(
         per_level = -(-budget // max(1, len(levels)))
         for n, positions in levels:
             if exhaustive:
-                elems = fam.enumerate(n)
+                elems = tuple(fam.iterate(n))
                 hs = elems if with_h else (None,)
                 instances = ((g, p, h) for g in elems for h in hs for p in positions)
             else:  # drawn left to right: g, the position, then h

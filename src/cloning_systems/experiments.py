@@ -22,7 +22,7 @@ from .groups import perm_apply
 from .thompson import (
     Element,
     element_text,
-    fd_conjugate_keys,
+    fd_conjugates,
     parse_element,
     powers_closed_form,
     random_element,
@@ -40,7 +40,7 @@ from .trees import (
 EVIDENCE_EXHAUSTIVE = "exhaustive-proof"
 EVIDENCE_SAMPLED = "consistent-with-theorem"
 
-# base elements fpf_suite samples when the base group is infinite
+# base elements fpf samples when the base group is infinite
 FPF_SAMPLES = 50
 
 
@@ -79,10 +79,15 @@ class ExperimentReport:
         return cls(**{name: doc[name] for name in names if name in doc})
 
 
-def _elements_for(system, params: dict, seed: int):
-    """The elements a ball experiment checks, once its radius is known to be >= 1."""
+def _radius(params: dict) -> int:
+    """A ball experiment's radius, refused below 1 before any ball is built."""
     if params["radius"] < 1:
         raise ValueError("radius must be >= 1")
+    return params["radius"]
+
+
+def _elements_for(system, params: dict, seed: int):
+    """The elements a ball experiment checks."""
     if params["elements"]:
         return [parse_element(system, t) for t in params["elements"]]
     elements = analysis.sample_nontrivial_elements(
@@ -151,7 +156,7 @@ def diversity(system, params: dict, seed: int) -> ExperimentReport:
 
 def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
     """Per-element counts over the F_d balls of radius 1..radius."""
-    radius = params["radius"]
+    radius = _radius(params)
     radii = range(1, radius + 1)
     balls = [_fd_ball(system, L) for L in radii]
     elements = _elements_for(system, params, seed)
@@ -177,8 +182,8 @@ def wahp_orbit(system, params: dict, seed: int) -> ExperimentReport:
 
 
 def normalizer(system, params: dict, seed: int) -> ExperimentReport:
-    radius, one_sided = params["radius"], params["one_sided"]
-    ball = _fd_ball(system, max(radius, 0))  # _elements_for refuses radius < 1
+    radius, one_sided = _radius(params), params["one_sided"]
+    ball = _fd_ball(system, radius)
     elements = _elements_for(system, params, seed)
     results, witnesses = [], []
     for x in elements:
@@ -262,12 +267,6 @@ def mixing(system, params: dict, seed: int) -> ExperimentReport:
 
 
 def fpf(system, params: dict, seed: int) -> ExperimentReport:
-    return fpf_suite(system, n=params["n"], m_max=params["m"], seed=seed)
-
-
-def fpf_suite(
-    system: cloning.CloningSystem, n: int = 3, m_max: int = 5, seed: int = 0
-) -> ExperimentReport:
     """Checks around a system prod:<group>:id,<phi> (see is_id_phi_product).
 
     Premises: phi is an involution without nontrivial fixed points.  Then
@@ -279,6 +278,7 @@ def fpf_suite(
     """
     if not cloning.is_id_phi_product(system):
         raise ValueError("fpf expects a system of the form prod:<group>:id,<phi>")
+    n, m_max = params["n"], params["m"]
     if n < 1:
         raise ValueError("n must be >= 1")
     if m_max < 1:
@@ -295,13 +295,9 @@ def fpf_suite(
             )
     rng = random.Random(seed)
     base, phi = system.base, system.monos[1]
-    params = {"base": base.name, "phi": phi.label, "n": n, "m_max": m_max}
     pool = base.elements()
     report = ExperimentReport(
-        experiment="fpf",
-        system=system.name,
-        params=params,
-        seed=seed,
+        params={"base": base.name, "phi": phi.label, "n": n, "m_max": m_max},
         evidence=EVIDENCE_SAMPLED if pool is None else EVIDENCE_EXHAUSTIVE,
     )
     if pool is None:
@@ -353,10 +349,10 @@ def fpf_suite(
     conjugators = [
         powers_closed_form(system, T, 1, nT, (ell - 1) * nT + 2) for ell in range(1, 5)
     ]
-    # within one system, equal keys are equal conjugates
-    keys = list(fd_conjugate_keys(x, conjugators))
+    conjugates = list(fd_conjugates(x, conjugators))
     clash = next(
-        ((i, j) for (i, a), (j, b) in combinations(enumerate(keys, 1), 2) if a == b), None
+        ((i, j) for (i, a), (j, b) in combinations(enumerate(conjugates, 1), 2) if a == b),
+        None,
     )
     checks["conjugates_pairwise_distinct"] = clash is None
     if clash is not None:

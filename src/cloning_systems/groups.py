@@ -30,10 +30,13 @@ def perm_identity(n: int) -> tuple[int, ...]:
 
 
 def is_perm(p: tuple[int, ...]) -> bool:
+    """p lists 1..len(p) in some order, each entry an int (no bool, no float)."""
     try:
-        return sorted(p) == list(range(1, len(p) + 1))
+        s = sorted(p)
     except TypeError:  # entries that do not compare, such as 1 and "a"
         return False
+    # once s is 1..n, only s[0] can be True, and a float entry makes the sum a float
+    return s == list(range(1, len(s) + 1)) and type(sum(s)) is int and (not s or s[0] is not True)
 
 
 def perm_apply(p: tuple[int, ...], i: int) -> int:
@@ -101,10 +104,6 @@ def free_reduce(word: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
-
-
-def free_mul(u: str, v: str) -> str:
-    return free_reduce(u + v)
 
 
 def free_inv(u: str) -> str:
@@ -321,10 +320,6 @@ class GroupFamily:
         """
         raise UnsupportedError(f"{self.name} G_{n} cannot be enumerated")
 
-    def enumerate(self, n: int) -> tuple:
-        """All of G_n, in the order of iterate."""
-        return tuple(self.iterate(n))
-
     def to_text(self, n: int, g) -> str:
         raise NotImplementedError
 
@@ -337,6 +332,13 @@ class PermutationFamily(GroupFamily):
 
     def identity(self, n):
         return perm_identity(n)
+
+    def contains(self, n, g):
+        return isinstance(g, tuple) and len(g) == n and is_perm(g) and self._member(n, g)
+
+    def _member(self, n: int, g: tuple[int, ...]) -> bool:
+        """The family's own test, on a permutation g of {1..n}."""
+        return True
 
     def mul(self, n, g, h):
         return perm_mul(g, h)
@@ -360,9 +362,6 @@ class PermutationFamily(GroupFamily):
 class SymmetricFamily(PermutationFamily):
     name = "S"
 
-    def contains(self, n, g):
-        return isinstance(g, tuple) and len(g) == n and is_perm(g)
-
     def sample(self, n, rng):
         images = list(range(1, n + 1))
         rng.shuffle(images)
@@ -385,14 +384,9 @@ class CyclicShiftFamily(PermutationFamily):
     def iterate(self, n):
         return (self._rotation(n, j) for j in range(n))
 
-    def contains(self, n, g):
-        # the k-th shift sends i to i + k (mod n), and g[0] = k + 1 fixes k
-        try:
-            return isinstance(g, tuple) and n >= 1 and len(g) == n and all(
-                g[i] == (i + g[0] - 1) % n + 1 for i in range(n)
-            )
-        except TypeError:  # g[0] is no number
-            return False
+    def _member(self, n, g):
+        # the k-th shift sends 1 to k + 1, so g[0] fixes k; G_0 is no level
+        return n >= 1 and g == self._rotation(n, g[0] - 1)
 
     def sample(self, n, rng):
         return self._rotation(n, rng.randrange(n))
@@ -403,8 +397,8 @@ class StabilizerFamily(PermutationFamily):
 
     name = "Shat"
 
-    def contains(self, n, g):
-        return isinstance(g, tuple) and len(g) == n and is_perm(g) and g[n - 1] == n
+    def _member(self, n, g):
+        return g[n - 1] == n
 
     def sample(self, n, rng):
         images = list(range(1, n))
@@ -420,7 +414,7 @@ class TrivialPermFamily(PermutationFamily):
 
     name = "1"
 
-    def contains(self, n, g):
+    def _member(self, n, g):
         return g == perm_identity(n)
 
     def sample(self, n, rng):

@@ -274,18 +274,10 @@ def mul(x: Element, y: Element) -> Element:
 
 
 def fd_conjugates(x: Element, fs: Iterable[Element]) -> Iterator[Element]:
-    """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products."""
-    system, d = x.sys, x.sys.d
-    for T, g, U in fd_conjugate_keys(x, fs):
-        yield _element(system, _tree(d, T), g, _tree(d, U))
+    """Yield f^{-1} x f for each f = [A, 1, B] of F_d in fs, without products.
 
-
-def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
-    """(left depths, middle, right depths) of f^{-1} x f for each f = [A, 1, B] in fs.
-
-    Each f must be an F_d element of x's system; _conjugate_keys computes
-    the keys.  Within one system, equal keys are equal conjugates, so
-    counting them needs no Element.
+    Each f must be an F_d element of x's system (SystemMismatch or
+    ValueError otherwise); _conjugate_keys computes the conjugates' keys.
     """
 
     def checked() -> Iterator[Element]:
@@ -296,12 +288,17 @@ def fd_conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
                 raise ValueError(f"conjugator {element_text(f)} is not in F_d")
             yield f
 
-    return _conjugate_keys(x, checked())
+    system, d = x.sys, x.sys.d
+    for T, g, U in _conjugate_keys(x, checked()):
+        yield _element(system, _tree(d, T), g, _tree(d, U))
 
 
 def _conjugate_keys(x: Element, fs: Iterable[Element]) -> Iterator[tuple]:
-    """The keys of fd_conjugate_keys, for identity-middle elements fs of x's system.
+    """(left depths, middle, right depths) of f^{-1} x f for each f in fs.
 
+    Each f must be an identity-middle element of x's system.  Within one
+    system, equal keys are equal conjugates, so counting them needs no
+    Element.
     Once x is expanded to (T', g', U') with both trees dominating A, T' is A
     with a forest F below its leaves and U' is A with a forest G, and the
     conjugate is [B.F, g', B.G], B with the forest grafted on: expanding f

@@ -27,7 +27,7 @@ from cloning_systems.cloning import (
     standard_symmetric_clone,
     verify_axioms,
 )
-from cloning_systems.experiments import fpf_suite
+from cloning_systems.experiments import fpf
 from cloning_systems.groups import cycle_perm
 from cloning_systems.thompson import (
     Element,
@@ -292,8 +292,8 @@ def test_criterion_12_presentation_relations():
 def test_fpf_suites_supplement():
     # named fixed-point-free example systems behind criteria 7 and 8
     z3 = make_system("prod:Z3:id,inv")
-    assert fpf_suite(z3, n=3, m_max=5, seed=0).verdict == "pass"
+    assert fpf(z3, {"n": 3, "m": 5}, 0).verdict == "pass"
     f2 = make_system("prod:F2:id,swap")
-    assert fpf_suite(f2, n=3, m_max=5, seed=0).verdict == "pass"
+    assert fpf(f2, {"n": 3, "m": 5}, 0).verdict == "pass"
     z2 = make_system("prod:Z2:id,inv")
-    assert fpf_suite(z2, n=3, m_max=5, seed=0).verdict == "premise-failed"
+    assert fpf(z2, {"n": 3, "m": 5}, 0).verdict == "premise-failed"

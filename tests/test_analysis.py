@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from cloning_systems import analysis
 from cloning_systems.analysis import (
     conjugate_count,
     coset_orbit_count,
@@ -17,9 +18,9 @@ from cloning_systems.experiments import (
     EVIDENCE_EXHAUSTIVE,
     EVIDENCE_SAMPLED,
     ExperimentReport,
-    fpf_suite,
+    fpf,
 )
-from cloning_systems.cloning import make_system
+from cloning_systems.cloning import BUILTIN_SYSTEM_KEYS, make_system
 from cloning_systems.groups import cycle_perm
 from cloning_systems.thompson import (
     Element,
@@ -37,6 +38,8 @@ from cloning_systems.trees import (
     leaf,
     parse_tree,
     removable_carets,
+    tree_text,
+    trees_with_carets,
 )
 from test_thompson import ALL_KEYS
 
@@ -478,33 +481,33 @@ def test_mixing_witness_validates_grafts():
 
 
 def test_fpf_suite_cyclic():
-    report = fpf_suite(make_system("prod:Z3:id,inv"), n=3, m_max=5, seed=0)
+    report = fpf(make_system("prod:Z3:id,inv"), {"n": 3, "m": 5}, 0)
     assert report.verdict == "pass"
     assert report.evidence == EVIDENCE_EXHAUSTIVE
     assert all(report.series["checks"].values())
 
 
 def test_fpf_suite_free_group():
-    report = fpf_suite(make_system("prod:F2:id,swap"), n=3, m_max=5, seed=0)
+    report = fpf(make_system("prod:F2:id,swap"), {"n": 3, "m": 5}, 0)
     assert report.verdict == "pass"
 
 
 def test_fpf_suite_two_torsion_premise_fails():
-    report = fpf_suite(make_system("prod:Z2:id,inv"), n=3, m_max=5, seed=0)
+    report = fpf(make_system("prod:Z2:id,inv"), {"n": 3, "m": 5}, 0)
     assert report.verdict == "premise-failed"
     assert not report.series["checks"]["premise_fixed_point_free"]
 
 
 @pytest.mark.parametrize("group, phi", [("Z2", "inv"), ("Z3", "id")])
 def test_fpf_suite_premise_failure_names_a_witness(group, phi):
-    report = fpf_suite(make_system(f"prod:{group}:id,{phi}"), n=3, m_max=5, seed=0)
+    report = fpf(make_system(f"prod:{group}:id,{phi}"), {"n": 3, "m": 5}, 0)
     assert report.verdict == "premise-failed"
     assert report.witnesses == ["premise_fixed_point_free fails at 1"]
 
 
 def test_fpf_suite_rejects_empty_power_range():
     with pytest.raises(ValueError, match="m must be >= 1"):
-        fpf_suite(make_system("prod:Z3:id,inv"), n=3, m_max=0)
+        fpf(make_system("prod:Z3:id,inv"), {"n": 3, "m": 0}, 0)
 
 
 def test_report_json_roundtrip():
@@ -563,6 +566,48 @@ def test_system_ball_enumerates_canonical_elements():
     assert Element.identity(V) in ball
     swap = Element(V, caret(2), cycle_perm(2, (1, 2)), caret(2))
     assert swap in ball
+
+
+def _system_ball_oracle(system, radius):
+    """The system ball as an Element of every triple, de-duplicated by a set."""
+    d = system.d
+    seen = set()
+    for carets in range(radius + 1):
+        n = carets * (d - 1) + 1
+        shapes = trees_with_carets(d, carets)
+        for T in shapes:
+            for U in shapes:
+                for g in system.family.iterate(n):
+                    seen.add(Element(system, T, g, U))
+                    if len(seen) > analysis.MAX_SYSTEM_BALL:
+                        raise ValueError("cap")
+    return sorted(seen, key=lambda x: (x.n, tree_text(x.T), str(x.g), tree_text(x.U)))
+
+
+FINITE_KEYS = [key for key in BUILTIN_SYSTEM_KEYS if make_system(key).family.is_finite(1)]
+
+
+@pytest.mark.parametrize("key, radius", [*((key, 2) for key in FINITE_KEYS), ("Vhat", 3)])
+def test_system_ball_matches_the_element_and_set_oracle(key, radius):
+    system = make_system(key)
+    ball = enumerate_system_ball(system, radius)
+    want = _system_ball_oracle(system, radius)
+    assert ball == want  # content and order
+    assert len(ball) > 1
+
+
+def test_system_ball_refuses_at_the_oracles_cap(monkeypatch):
+    # Vhat at radius 4 has 4262 elements: a cap of 4262 keeps it and one of
+    # 4261 refuses it, for the ball and the oracle alike
+    vhat = make_system("Vhat")
+    size = len(enumerate_system_ball(vhat, 4))
+    assert size == 4262
+    for build in (enumerate_system_ball, _system_ball_oracle):
+        monkeypatch.setattr(analysis, "MAX_SYSTEM_BALL", size)
+        assert len(build(vhat, 4)) == size
+        monkeypatch.setattr(analysis, "MAX_SYSTEM_BALL", size - 1)
+        with pytest.raises(ValueError):
+            build(vhat, 4)
 
 
 def test_system_ball_refuses_before_building_all_of_g_n():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cloning_systems import analysis, cantor, cli, cloning, experiments
 from cloning_systems.analysis import MAX_BALL_LEAVES, MAX_SYSTEM_BALL
+from cloning_systems.cloning import make_system
 from cloning_systems.cantor import CantorWord, PrefixMap
 from cloning_systems.cli import (
     EXPERIMENTS,
@@ -574,6 +576,43 @@ def test_small_balls_of_large_arity_run(capsys, system, radius):
     assert report["series"]["radii"] == list(range(1, radius + 1))
 
 
+@pytest.mark.parametrize("name", ["conjugates", "wahp-orbit", "normalizer"])
+def test_radius_below_one_is_refused_before_any_ball(capsys, monkeypatch, name):
+    def refuse(system, radius):
+        raise AssertionError(f"built the ball of radius {radius}")
+
+    monkeypatch.setattr(analysis, "enumerate_fd_ball", refuse)
+    argv = [name, "--system", "V", "--radius", "0", "--budget", "1"]
+    assert run_cli(capsys, *argv) == (2, "", "error: radius must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "name, key, params",
+    [
+        ("verify-axioms", "V", {"n": 2}),
+        ("probe", "V", {"property": "pure", "n": 2}),
+        ("diversity", "V", {"n": 2}),
+        ("conjugates", "V", {"radius": 1, "budget": 1}),
+        ("normalizer", "V", {"radius": 1, "budget": 1}),
+        ("wahp-orbit", "V", {"radius": 1, "budget": 1}),
+        ("mixing", "psi:Z3:id,id", {}),
+        ("fpf", "prod:Z3:id,inv", {"n": 2, "m": 3}),
+        ("cantor-crosscheck", "V", {"radius": 1, "budget": 1}),
+    ],
+)
+def test_a_direct_experiment_call_leaves_the_stamps_to_the_caller(name, key, params):
+    # run() stamps experiment, system, seed and runtime_ms; an experiment
+    # function called directly, fpf included, leaves them at their defaults
+    defaults, experiment = EXPERIMENTS[name]
+    report = experiment(make_system(key), {**defaults, **params}, 2)
+    assert (report.experiment, report.system, report.seed, report.runtime_ms) == ("", "", 0, 0)
+    stamped = run(RunConfig(key, name, params, seed=2))
+    assert (stamped.experiment, stamped.system, stamped.seed) == (name, key, 2)
+    assert stamped.to_json(include_runtime=False) == dataclasses.replace(
+        report, experiment=name, system=key, seed=2
+    ).to_json(include_runtime=False)
+
+
 def _falling_counts(monkeypatch):
     # a count that falls with the radius breaks the growth series' monotonicity
     monkeypatch.setattr(analysis, "conjugate_count", lambda x, ball: 10 - ball.radius)
@@ -614,7 +653,7 @@ def _inverse_is_self(monkeypatch):
 
 
 def _conjugates_repeat(monkeypatch):
-    monkeypatch.setattr(experiments, "fd_conjugate_keys", lambda x, fs: [x for _ in fs])
+    monkeypatch.setattr(experiments, "fd_conjugates", lambda x, fs: [x for _ in fs])
 
 
 def _everything_uniform(monkeypatch):

@@ -69,6 +69,37 @@ def test_triple_validation():
         Triple(make_system("Vhat"), caret(2), cycle_perm(2, (1, 2)), caret(2))
 
 
+@pytest.mark.parametrize(
+    "key, middle",
+    [
+        ("V", (2, True)),
+        ("V", (True, 2)),
+        ("V", (2.0, 1)),
+        ("Vhat", (True, 2)),
+        ("F", (True, 2)),
+        ("F", (1.0, 2)),
+        ("T", (2, True)),
+        ("T", (2.0, 1)),
+        ("T", (True, 2)),
+        ("V:3", (3.0, 1, 2)),
+        ("Vhat:3", (2, 1.0, 3)),
+        ("T:3", (3, True, 2)),
+        ("F:3", (1, 2, 3.0)),
+    ],
+)
+def test_permutation_middles_refuse_bool_and_float_entries(key, middle):
+    # each is equal to a permutation of the family, and would print as a
+    # text (such as [2,True]) that no parser reads back
+    system = make_system(key)
+    n = len(middle)
+    assert middle == tuple(int(i) for i in middle)
+    assert system.family.contains(n, tuple(int(i) for i in middle))
+    assert not system.family.contains(n, middle)
+    pattern = rf"^middle element is not in {system.family.name} at level {n}$"
+    with pytest.raises(ValueError, match=pattern):
+        Element(system, caret(system.d), middle, caret(system.d))
+
+
 class _LeakyT(SymmetricSystem):
     """T with a clone that swaps the first two images, leaving the rotations."""
 
@@ -487,8 +518,8 @@ def test_one_kernel_reduces_triples_coset_keys_and_conjugates(monkeypatch):
     assert reduce_triple(t) == x.triple() and callers == ["pair"]
     _, h, Q = kernel(system, None, x.inv().g, x.T)
     assert thompson.coset_key(x) == (Q, h) and callers == ["pair", "coset"]
-    keys = list(thompson.fd_conjugate_keys(x, ball.elements))
-    assert callers.count("pair") > 1 and len(keys) == len(ball.elements)
+    conjugates = list(fd_conjugates(x, ball.elements))
+    assert callers.count("pair") > 1 and len(conjugates) == len(ball.elements)
 
 
 def _conjugation_plan(x, A):
@@ -552,12 +583,12 @@ def test_conjugate_keys_ignore_conjugator_order_and_shape_caches(key):
     shuffled = rng.sample(fs, len(fs))  # plans reused across non-consecutive left trees
     caches = (trees._widths, trees._tree_carets, trees.root_subtrees, thompson._parent_cut)
     for x in sample_nontrivial_elements(system, 4, rng, max_carets=3):
-        want = Counter(thompson.fd_conjugate_keys(x, fs))
+        want = Counter(fd_conjugates(x, fs))
         assert sum(want.values()) == len(fs)
-        assert Counter(thompson.fd_conjugate_keys(x, shuffled)) == want
+        assert Counter(fd_conjugates(x, shuffled)) == want
         for cache in caches:
             cache.cache_clear()
-        assert Counter(thompson.fd_conjugate_keys(x, fs)) == want
+        assert Counter(fd_conjugates(x, fs)) == want
     # cached values are shared by every caller, so none may be mutable
     assert trees.root_subtrees.cache_info().currsize
     for t in dict.fromkeys(f.T for f in fs if not f.T.is_leaf):

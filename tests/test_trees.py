@@ -491,7 +491,7 @@ def test_split_and_graft_match_expansion_replay(d):
             for k in removable_carets(s)
             if any(w == words_s[k - 1][: len(w)] for w in words_a if len(w) < len(words_s[k - 1]))
         }
-        # the forest operations of fd_conjugate_keys, against the cut
+        # the forest operations of thompson._conjugate_keys, against the cut
         assert forest_sites(d, forest) == sites
         for i, tree in enumerate(forest):  # a leaf of a that s keeps, by its number in s
             k = trivial_leaf(forest, i)
