@@ -108,13 +108,17 @@ def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
     """All elements [T,g,U] with at most `radius` carets per tree, canonical.
 
     Each element has exactly one reduced triple, so the ball is the triples
-    that _reduce leaves unchanged, with no duplicate to remove.
+    that _reduce leaves unchanged, with no duplicate to remove.  Elements
+    are ordered by (n, text of T, str(g), text of U); each level's shapes
+    are written out once.
     """
     d = system.d
     out = []
     for carets in range(radius + 1):
         n = carets * (d - 1) + 1
         shapes = trees_with_carets(d, carets)
+        text = {s: tree_text(s) for s in shapes}
+        start = len(out)
         for T in shapes:
             for U in shapes:
                 for g in system.family.iterate(n):
@@ -125,7 +129,8 @@ def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
                                 f"the system ball of radius {radius} has more than "
                                 f"{MAX_SYSTEM_BALL} elements; use a smaller radius"
                             )
-    return sorted(out, key=lambda x: (x.n, tree_text(x.T), str(x.g), tree_text(x.U)))
+        out[start:] = sorted(out[start:], key=lambda x: (text[x.T], str(x.g), text[x.U]))
+    return out
 
 
 def conjugate_count(x: Element, ball: FdBall) -> int:

@@ -44,11 +44,13 @@ def standard_symmetric_clone(
 
     The cloned block maps k+i -> p(k)+i for 0 <= i < d; every other arrow
     keeps its endpoints except that domain points above k and codomain points
-    above p(k) shift up by d-1.
+    above p(k) shift up by d-1.  The identity clones to the identity (C1).
     """
     n = len(p)
     if not 1 <= k <= n:
         raise IndexError(f"clone position {k} out of range 1..{n}")
+    if p == perm_identity(n):
+        return perm_identity(n + d - 1)
     pk = p[k - 1]
     images = [s if s < pk else s + d - 1 for s in p]
     images[k - 1 : k] = range(pk, pk + d)
@@ -180,7 +182,11 @@ class ProductSystem(CloningSystem):
         if not 1 <= k <= n:
             raise IndexError(f"clone position {k} out of range 1..{n}")
         x = g[k - 1]
-        block = tuple(m.apply(x) for m in self.monos)
+        if x == self.base.identity:
+            # every monomorphism fixes the identity
+            block = (x,) * self.d
+        else:
+            block = tuple(m.apply(x) for m in self.monos)
         return g[: k - 1] + block + g[k:]
 
     def try_unclone(self, n, k, gp):

@@ -45,9 +45,15 @@ def perm_apply(p: tuple[int, ...], i: int) -> int:
 
 def perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Product pq: q acts first, (pq)(i) = p(q(i))."""
-    if len(p) != len(q):
+    n = len(p)
+    if n != len(q):
         raise ValueError("size mismatch")
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    identity = perm_identity(n)
+    if p == identity:
+        return tuple(q)
+    if q == identity:
+        return tuple(p)
+    return tuple(p[q[i] - 1] for i in range(n))
 
 
 def perm_inv(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -233,18 +233,21 @@ class Element:
         return _element(self.sys, self.U, g_inv, self.T)
 
     def __pow__(self, m: int) -> "Element":
-        """Repeated squaring: about 2 log2(m) products instead of m."""
+        """Square-and-multiply over the bits of m, highest first.
+
+        floor(log2 m) squarings and popcount(m) - 1 products by x itself,
+        so every product that is not a squaring has the small x on its right.
+        """
         if m < 0:
             return self.inv() ** (-m)
-        out = None
-        square = self
-        while m:
-            if m & 1:
-                out = square if out is None else out * square
-            m >>= 1
-            if m:
-                square = square * square
-        return Element.identity(self.sys) if out is None else out
+        if m == 0:
+            return Element.identity(self.sys)
+        out = self
+        for bit in bin(m)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def __repr__(self):
         return f"Element({self.sys.name}, {element_text(self)!r})"

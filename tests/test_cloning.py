@@ -40,13 +40,58 @@ def test_symmetric_clone_three_cycle():
     )
 
 
-def test_symmetric_clone_identity():
-    for n in range(1, 5):
+def _shift_and_splice_clone(p, k, d):
+    """The general clone: shift the images at or above p(k) up by d - 1,
+    then splice the block p(k), ..., p(k) + d - 1 in at position k."""
+    pk = p[k - 1]
+    images = [s if s < pk else s + d - 1 for s in p]
+    images[k - 1 : k] = range(pk, pk + d)
+    return tuple(images)
+
+
+def _shift_and_cut_unclone(pp, k, d):
+    """The general unclone of a block that passes the test: shift the images
+    above pp(k) down by d - 1, then cut positions k + 1, ..., k + d - 1."""
+    pk = pp[k - 1]
+    images = [s if s <= pk else s - (d - 1) for s in pp]
+    del images[k : k + d - 1]
+    return tuple(images)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symmetric_identity_paths_match_the_general_formulas(d):
+    for n in range(1, 8):
+        small, big = perm_identity(n), perm_identity(n + d - 1)
         for k in range(1, n + 1):
-            for d in (2, 3):
-                assert standard_symmetric_clone(perm_identity(n), k, d) == perm_identity(
-                    n + d - 1
-                )
+            cloned = standard_symmetric_clone(small, k, d)
+            assert cloned == _shift_and_splice_clone(small, k, d) == big
+            uncloned = try_symmetric_unclone(big, k, d)
+            assert uncloned == _shift_and_cut_unclone(big, k, d) == small
+            # tuples of ints, not equal values of another type
+            for result in (cloned, uncloned):
+                assert type(result) is tuple
+                assert all(type(x) is int for x in result)
+        for k in (0, n + 1):
+            with pytest.raises(IndexError):
+                standard_symmetric_clone(small, k, d)
+            assert try_symmetric_unclone(big, k, d) is None
+
+
+PRODUCT_KEYS = [key for key in BUILTIN_SYSTEM_KEYS if key.startswith(("prod:", "psi:"))]
+
+
+@pytest.mark.parametrize("key", [*PRODUCT_KEYS, *map(_ternary, PRODUCT_KEYS)])
+def test_identity_entries_clone_as_the_monomorphisms_do(key):
+    system = make_system(key)
+    rng = random.Random(5)
+    e = system.base.identity
+    block = tuple(m.apply(e) for m in system.monos)
+    for n in range(1, 6):
+        for _ in range(4):
+            g = system.family.sample(n, rng)
+            for k in range(1, n + 1):
+                h = g[: k - 1] + (e,) + g[k:]
+                assert system.clone(n, k, h) == h[: k - 1] + block + h[k:]
 
 
 def test_symmetric_clone_swap():

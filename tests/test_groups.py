@@ -52,6 +52,20 @@ def test_perm_identity_is_built_once_per_level():
     assert perm_identity(0) == ()
 
 
+def test_perm_products_with_the_identity():
+    for n in range(0, 6):
+        e = perm_identity(n)
+        assert perm_inv(e) == e
+        for p in permutations(range(1, n + 1)):
+            for q in (p, list(p)):
+                for product in (perm_mul(e, q), perm_mul(q, e)):
+                    assert type(product) is tuple and product == p
+    with pytest.raises(ValueError):
+        perm_mul(perm_identity(2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        perm_mul((2, 1, 3), perm_identity(2))
+
+
 def test_perm_mul_applies_right_factor_first():
     p = cycle_perm(3, (1, 2))
     q = cycle_perm(3, (2, 3))

@@ -389,6 +389,32 @@ def test_a_product_checks_its_middle_once(key, monkeypatch):
     assert y == x**63
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 42, 63, 64, 1000])
+def test_pow_squares_and_multiplies_by_x_highest_bit_first(m, monkeypatch):
+    x = fd_generator(V, 0) * fd_generator(V, 3).inv()
+    products = []
+
+    def recording_mul(a, b):
+        out = mul(a, b)
+        products.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(thompson, "mul", recording_mul)
+    power = x**m
+    # floor(log2 m) squarings and popcount(m) - 1 products by x itself
+    squarings = [b for a, b, _ in products if a is b]
+    by_x = [b for a, b, _ in products if a is not b]
+    assert len(squarings) == m.bit_length() - 1
+    assert len(by_x) == bin(m).count("1") - 1
+    assert all(b is x for b in by_x)
+    # each product's left factor is the product before it, starting from x
+    acc = x
+    for a, _, out in products:
+        assert a is acc
+        acc = out
+    assert power is acc
+
+
 @pytest.mark.parametrize("dd,key", [(2, "F"), (2, "V"), (3, "F:3")])
 def test_pow_of_spine_commutators_matches_closed_form(dd, key):
     system = make_system(key)
