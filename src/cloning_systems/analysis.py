@@ -43,34 +43,24 @@ MAX_SYSTEM_BALL = 20000
 class FdBall:
     """All reduced identity-middle tree pairs with at most L carets per tree.
 
-    A truncated ball is one refused before it was built: it has no elements,
-    and the counts and checks over balls refuse it.
+    A ball is always whole: enumerate_fd_ball refuses a radius past its cap
+    instead of building part of the ball, so `truncated` reads False on
+    every ball, and an instance cannot set it.
     """
 
-    __slots__ = ("system", "radius", "elements", "truncated")
+    __slots__ = ("system", "radius", "elements")
+    truncated = False
 
-    def __init__(
-        self, system: CloningSystem, radius: int, elements: tuple, truncated: bool = False
-    ):
+    def __init__(self, system: CloningSystem, radius: int, elements: tuple):
         self.system = system
         self.radius = radius
         self.elements = elements
-        self.truncated = truncated
-
-    def refuse_truncated(self) -> None:
-        """Raise ValueError, naming the radius and the cap, if the ball is truncated."""
-        if self.truncated:
-            raise ValueError(
-                f"the F_d ball of radius {self.radius} passes the cap of {MAX_BALL_LEAVES} "
-                "tree leaves; use a smaller radius"
-            )
 
 
 def _check_ball(x: Element, ball: FdBall) -> None:
-    """A ball to count or check x over must be a whole ball of x's system."""
+    """A ball to count or check x over must be a ball of x's system."""
     if ball.system.name != x.sys.name:
         raise SystemMismatch(f"the F_d ball is of {ball.system.name}, not of {x.sys.name}")
-    ball.refuse_truncated()
 
 
 def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
@@ -78,10 +68,11 @@ def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
 
     Level c holds at most F^2 pairs of trees with n = (d-1)c + 1 leaves,
     F = C(dc, c)/n the Fuss-Catalan count of d-ary trees with c carets; a
-    ball whose levels could hold more than MAX_BALL_LEAVES tree leaves in
-    all, 2 n F^2 per level, is returned truncated and empty.  A pair with
-    identity middle is reduced exactly when no caret can be deleted from
-    both trees at the same leaf block, so reducedness is a direct tree test.
+    radius whose levels could hold more than MAX_BALL_LEAVES tree leaves in
+    all, 2 n F^2 per level, raises ValueError before any tree is built.  A
+    pair with identity middle is reduced exactly when no caret can be
+    deleted from both trees at the same leaf block, so reducedness is a
+    direct tree test.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -91,7 +82,10 @@ def enumerate_fd_ball(system: CloningSystem, radius: int) -> FdBall:
         n = (d - 1) * c + 1
         leaves += 2 * n * (comb(d * c, c) // n) ** 2
         if leaves > MAX_BALL_LEAVES:
-            return FdBall(system, radius, (), True)
+            raise ValueError(
+                f"the F_d ball of radius {radius} passes the cap of {MAX_BALL_LEAVES} "
+                "tree leaves; use a smaller radius"
+            )
     out = []
     for carets in range(radius + 1):
         shapes = trees_with_carets(d, carets)
@@ -112,6 +106,8 @@ def enumerate_system_ball(system: CloningSystem, radius: int) -> list[Element]:
     are ordered by (n, text of T, str(g), text of U); each level's shapes
     are written out once.
     """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     d = system.d
     out = []
     for carets in range(radius + 1):
@@ -158,8 +154,8 @@ def normalizes_up_to(
 
     x^{-1} f x lies in F_d exactly when f x F_d = x F_d, so each direction
     costs one product and one coset_key per f, against the key of x (or of
-    x^{-1}) taken once.  A truncated ball is refused: an empty ball would
-    pass.
+    x^{-1}) taken once.  enumerate_fd_ball never returns part of a ball,
+    over which the check could pass.
     """
     _check_ball(x, ball)
     xi = x.inv()

@@ -197,6 +197,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown config fields {unknown}")
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if args.command != "report":
+        if doc.get("experiment") not in (None, args.command):
+            raise ConfigError(
+                f"the config is for experiment {doc['experiment']!r}, not {args.command}"
+            )
         flags["experiment"] = args.command
     merged = {**dict.fromkeys(names), **doc, **{k: flags[k] for k in names if k in flags}}
     merged["params"] = {

@@ -98,13 +98,6 @@ def _elements_for(system, params: dict, seed: int):
     return elements
 
 
-def _fd_ball(system, radius: int) -> analysis.FdBall:
-    """The F_d ball of the radius, refused when its leaf bound passes the cap."""
-    ball = analysis.enumerate_fd_ball(system, radius)
-    ball.refuse_truncated()
-    return ball
-
-
 def verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
     exhaustive = params["exhaustive"]
     result = cloning.verify_axioms(
@@ -158,7 +151,7 @@ def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
     """Per-element counts over the F_d balls of radius 1..radius."""
     radius = _radius(params)
     radii = range(1, radius + 1)
-    balls = [_fd_ball(system, L) for L in radii]
+    balls = [analysis.enumerate_fd_ball(system, L) for L in radii]
     elements = _elements_for(system, params, seed)
     counts = [[count(x, ball) for ball in balls] for x in elements]
     # monotonicity in the radius is an exact invariant
@@ -183,7 +176,7 @@ def wahp_orbit(system, params: dict, seed: int) -> ExperimentReport:
 
 def normalizer(system, params: dict, seed: int) -> ExperimentReport:
     radius, one_sided = _radius(params), params["one_sided"]
-    ball = _fd_ball(system, radius)
+    ball = analysis.enumerate_fd_ball(system, radius)
     elements = _elements_for(system, params, seed)
     results, witnesses = [], []
     for x in elements:
@@ -387,7 +380,7 @@ def cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
     if not system.permutation_type:
         raise ValueError("cantor-crosscheck needs one of the F/T/V/Vhat systems")
     rng = random.Random(seed)
-    ball = analysis.enumerate_system_ball(system, params["radius"])
+    ball = analysis.enumerate_system_ball(system, _radius(params))
     rng2 = random.Random(seed + 1)
     sampled = [
         (random_element(system, rng2), random_element(system, rng2))

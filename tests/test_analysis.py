@@ -6,6 +6,7 @@ import pytest
 
 from cloning_systems import analysis
 from cloning_systems.analysis import (
+    MAX_BALL_LEAVES,
     conjugate_count,
     coset_orbit_count,
     enumerate_fd_ball,
@@ -138,15 +139,20 @@ def test_ball_scans_each_shape_once_in_pairwise_order(key, radius, monkeypatch):
     assert scanned == shapes
 
 
+def _cap_refusal(radius):
+    return f"^the F_d ball of radius {radius} passes the cap of {MAX_BALL_LEAVES} tree leaves; "
+
+
 @pytest.mark.parametrize(
     "key, radius, admitted",
     [("V", 6, True), ("V", 7, False), ("V:3", 4, True), ("V:3", 5, False), ("V:10", 3, True)],
 )
 def test_ball_cap_bounds_the_tree_leaves_held(key, radius, admitted):
-    from cloning_systems.analysis import MAX_BALL_LEAVES
-
+    if not admitted:
+        with pytest.raises(ValueError, match=_cap_refusal(radius)):
+            enumerate_fd_ball(make_system(key), radius)
+        return
     ball = enumerate_fd_ball(make_system(key), radius)
-    assert ball.truncated is not admitted
     held = sum(x.T.leaf_count + x.U.leaf_count for x in ball.elements)
     assert held <= MAX_BALL_LEAVES
 
@@ -157,8 +163,24 @@ def test_ball_truncation_guard(monkeypatch):
     # a refused ball is decided by its leaf bound alone: no tree is built
     monkeypatch.setattr(analysis, "trees_with_carets", None)
     for system, radius in ((V, 7), (make_system("V:100000"), 2)):
-        ball = enumerate_fd_ball(system, radius)
-        assert ball.truncated and ball.elements == ()
+        with pytest.raises(ValueError, match=_cap_refusal(radius)) as exc:
+            enumerate_fd_ball(system, radius)
+        assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("key, radius", [("V", 0), ("V", 3), ("V:3", 2), ("prod:Z3:id,inv", 2)])
+def test_every_ball_reads_whole_and_refuses_to_be_marked_truncated(key, radius):
+    ball = enumerate_fd_ball(make_system(key), radius)
+    assert ball.truncated is False
+    with pytest.raises(AttributeError):
+        ball.truncated = True
+    assert ball.truncated is False
+
+
+@pytest.mark.parametrize("enumerate_ball", [enumerate_fd_ball, enumerate_system_ball])
+def test_both_ball_enumerators_refuse_a_negative_radius(enumerate_ball):
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        enumerate_ball(V, -1)
 
 
 def test_conjugate_count_identity():
@@ -269,16 +291,14 @@ def test_normalizer_matches_the_product_oracle():
 def test_counts_refuse_a_ball_of_another_system():
     x = fd_generator(V, 0)
     ball = enumerate_fd_ball(make_system("T"), 2)
-    # and a truncated ball, which holds no elements: over it the counts would
-    # read 0 and the normalizer check would pass
-    truncated = enumerate_fd_ball(V, 7)
-    assert truncated.truncated and not truncated.elements
     for check in (conjugate_count, coset_orbit_count, normalizes_up_to):
         with pytest.raises(SystemMismatch):
             check(x, ball)
-        with pytest.raises(ValueError, match="^the F_d ball of radius 7 passes the cap") as exc:
-            check(x, truncated)
-        assert type(exc.value) is ValueError
+    # no ball past the cap reaches a count: over an empty one the counts
+    # would read 0 and the normalizer check would pass
+    with pytest.raises(ValueError, match=_cap_refusal(7)) as exc:
+        enumerate_fd_ball(V, 7)
+    assert type(exc.value) is ValueError
 
 
 def test_coset_orbit_identity_class():

@@ -318,6 +318,15 @@ def test_flags_override_config(tmp_path, capsys):
     assert json.loads(out)["params"]["n"] == 3
 
 
+def test_a_subcommand_takes_a_config_of_its_own_experiment(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for experiment in ("diversity", None):
+        cfg.write_text(json.dumps({"system": "V", "experiment": experiment, "params": {"n": 2}}))
+        code, out, err = run_cli(capsys, "diversity", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["experiment"] == "diversity"
+
+
 def test_report_needs_experiment(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "V"}))
@@ -430,6 +439,8 @@ BAD_ELEMENTS = {
         ({"params": [1]}, ["conjugates", "--system", "V"]),
         ({"system": 3}, ["conjugates"]),
         ({"experiment": ["x"], "system": "V"}, ["report"]),
+        ({"experiment": "fpf", "system": "V"}, ["conjugates"]),
+        ({"experiment": "nonsense", "system": "V"}, ["conjugates"]),
         ({"params": {"radius": True}}, ["conjugates", "--system", "V"]),
         ({"params": {"nn": 3}}, ["conjugates", "--system", "V"]),
         ({"sed": 3}, ["conjugates", "--system", "V"]),
@@ -482,7 +493,8 @@ BAD_ELEMENTS = {
     ],
     ids=[
         "element-not-text", "doc-list", "params-list", "system-int",
-        "experiment-list", "bool-for-int", "unknown-param", "unknown-field",
+        "experiment-list", "config-for-fpf-on-conjugates", "config-for-nonsense-on-conjugates",
+        "bool-for-int", "unknown-param", "unknown-field",
         "out-int", "flag-m-on-conjugates",
         "flag-radius-on-diversity", "flag-budget-on-mixing",
         "abbreviated-flag-m-on-mixing", "abbreviated-flag-middle",
@@ -576,12 +588,13 @@ def test_small_balls_of_large_arity_run(capsys, system, radius):
     assert report["series"]["radii"] == list(range(1, radius + 1))
 
 
-@pytest.mark.parametrize("name", ["conjugates", "wahp-orbit", "normalizer"])
+@pytest.mark.parametrize("name", ["conjugates", "wahp-orbit", "normalizer", "cantor-crosscheck"])
 def test_radius_below_one_is_refused_before_any_ball(capsys, monkeypatch, name):
     def refuse(system, radius):
         raise AssertionError(f"built the ball of radius {radius}")
 
     monkeypatch.setattr(analysis, "enumerate_fd_ball", refuse)
+    monkeypatch.setattr(analysis, "enumerate_system_ball", refuse)
     argv = [name, "--system", "V", "--radius", "0", "--budget", "1"]
     assert run_cli(capsys, *argv) == (2, "", "error: radius must be >= 1\n")
 
