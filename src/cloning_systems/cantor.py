@@ -46,7 +46,7 @@ class CantorWord:
         if not per:
             raise ValueError("period must be nonempty")
         for letter in pre + per:
-            if not isinstance(letter, int) or letter < 1:
+            if type(letter) is not int or letter < 1:
                 raise ValueError(f"bad letter {letter!r}")
         for width in range(1, len(per)):
             if len(per) % width == 0 and per == per[:width] * (len(per) // width):
@@ -400,6 +400,9 @@ def _is_complete_prefix_code(words: Iterable[Word], d: int) -> bool:
     (sum of d^-|w|) is 1.
     """
     words = sorted(words)
+    # each letter, not their set: True == 1, yet a bool letter prints as True
+    if any(type(a) is not int for w in words for a in w):
+        return False
     if not set().union(*words) <= set(range(1, d + 1)):
         return False
     if any(b[: len(a)] == a for a, b in zip(words, words[1:])):

@@ -1,9 +1,9 @@
 """Config-driven experiment runner.
 
-EXPERIMENTS is the one table of experiments, their parameters and defaults;
-each subcommand's flags, config validation and default filling follow from
-it.  Every subcommand builds a RunConfig, calls its function in the
-experiments module, and emits a JSON report; reports are byte-identical
+EXPERIMENTS is the one table of experiments; each subcommand's flags and
+config validation follow from its function's keyword parameters.  Every
+subcommand builds a RunConfig, calls its function in the experiments
+module, and emits a JSON report; reports are byte-identical
 for identical (config, seed) apart from the runtime_ms field.  Exit codes:
 0 all checked properties hold, 1 a checked property failed (the report
 carries the witness), 2 usage or configuration error.  The default seed
@@ -64,7 +64,7 @@ class RunConfig:
             raise ConfigError("out must be a file path")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
-        declared = EXPERIMENTS[self.experiment][0]
+        declared = EXPERIMENTS[self.experiment].__kwdefaults__
         for key, val in self.params.items():
             if key not in declared:
                 raise ConfigError(f"{self.experiment} takes no parameter {key!r}")
@@ -78,28 +78,21 @@ class RunConfig:
                 raise ConfigError(f"parameter {key} must be {_EXPECTED[kind]}")
 
 
-# name -> (parameter defaults, experiment).  A parameter left out of a config,
-# or given as null, takes its default; one the experiment does not list is
-# rejected.  An experiment takes (system, params with defaults filled in,
-# seed) and returns the report; run() stamps the experiment, system and seed.
-EXPERIMENTS: dict[str, tuple[dict, Callable]] = {
-    "verify-axioms": ({"n": 4, "exhaustive": False, "budget": 1000}, experiments.verify_axioms),
-    "probe": ({"property": None, "n": 4, "budget": 500}, experiments.probe),
-    "diversity": ({"n": 3, "budget": 500, "exhaustive": None}, experiments.diversity),
-    "conjugates": ({"radius": 3, "budget": 5, "elements": None}, experiments.conjugates),
-    "normalizer": (
-        {"radius": 3, "budget": 3, "one_sided": False, "elements": None},
-        experiments.normalizer,
-    ),
-    "wahp-orbit": ({"radius": 3, "budget": 3, "elements": None}, experiments.wahp_orbit),
-    "mixing": (
-        dict.fromkeys(("tree", "leaf_word", "middle", "graft_a", "graft_b")),
-        experiments.mixing,
-    ),
-    "fpf": ({"n": 3, "m": 5}, experiments.fpf),
-    "cantor-crosscheck": (
-        {"radius": 2, "budget": 100, "depth": 12}, experiments.cantor_crosscheck
-    ),
+# name -> experiment.  An experiment takes (system, seed) and then its
+# parameters as keywords, each a PARAM_TYPES key, in the order of its flags;
+# a parameter left out of a config, or given as null, takes the keyword's
+# default, and one the experiment does not take is rejected.  It returns the
+# report; run() stamps the experiment, system and seed.
+EXPERIMENTS: dict[str, Callable] = {
+    "verify-axioms": experiments.verify_axioms,
+    "probe": experiments.probe,
+    "diversity": experiments.diversity,
+    "conjugates": experiments.conjugates,
+    "normalizer": experiments.normalizer,
+    "wahp-orbit": experiments.wahp_orbit,
+    "mixing": experiments.mixing,
+    "fpf": experiments.fpf,
+    "cantor-crosscheck": experiments.cantor_crosscheck,
 }
 
 
@@ -107,13 +100,9 @@ def run(config: RunConfig) -> experiments.ExperimentReport:
     """Validate, dispatch, and time one experiment."""
     config.validate()
     start = time.monotonic()
-    defaults, experiment = EXPERIMENTS[config.experiment]
-    params = {
-        key: default if config.params.get(key) is None else config.params[key]
-        for key, default in defaults.items()
-    }
+    params = {key: val for key, val in config.params.items() if val is not None}
     system = make_system(config.system)
-    report = experiment(system, params, config.seed)
+    report = EXPERIMENTS[config.experiment](system, config.seed, **params)
     report.experiment, report.system = config.experiment, system.name
     report.seed = config.seed
     report.runtime_ms = int((time.monotonic() - start) * 1000)
@@ -167,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    rows = {name: defaults for name, (defaults, _) in EXPERIMENTS.items()}
+    rows = {name: fn.__kwdefaults__ for name, fn in EXPERIMENTS.items()}
     for name, params in {**rows, "report": PARAM_TYPES}.items():
         what = f"the {name} experiment" if name in rows else "an experiment described by --config"
         p = sub.add_parser(name, help="run " + what, allow_abbrev=False)

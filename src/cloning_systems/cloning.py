@@ -269,6 +269,25 @@ def _axiom_positions(axiom: str, n: int, d: int, ks=None) -> list[dict]:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
+def _axiom_position_count(axiom: str, n: int) -> int:
+    """len(_axiom_positions(axiom, n, d)), the same for every d."""
+    return {"C1": n, "C2": n * (n - 1) // 2, "C3": n * (n - 1)}[axiom]
+
+
+def _axiom_position(axiom: str, n: int, d: int, idx: int) -> dict:
+    """_axiom_positions(axiom, n, d)[idx], without building the table."""
+    if axiom == "C1":
+        return {"k": idx + 1}
+    if axiom == "C2":  # row k holds the n - k positions l = k+1..n
+        k = 1
+        while idx >= n - k:
+            idx -= n - k
+            k += 1
+        return {"k": k, "l": k + 1 + idx}
+    k, r = divmod(idx, n - 1)  # row k + 1 holds the n - 1 positions i outside k+1..k+d
+    return {"k": k + 1, "i": r + 1 if r < k else r + 1 + d}
+
+
 def _axiom_instance(system: CloningSystem, axiom: str, n: int, g, h, pos: dict):
     """(ok, payload) for one instance, unchecked: pos is from _axiom_positions."""
     fam, d, k = system.family, system.d, pos["k"]
@@ -327,7 +346,8 @@ def verify_axioms(
 
     Exhaustive sweeps are proofs at the checked levels; sampled sweeps are
     evidence only.  A sampled instance draws g, then a position uniformly
-    from the axiom's table, then h for C1.  Stops at the first counterexample.
+    from the axiom's table (drawn by index, so the table is never built),
+    then h for C1.  Stops at the first counterexample.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
@@ -339,17 +359,18 @@ def verify_axioms(
     result = {"ok": True, "checked": checked, "exhaustive": exhaustive}
     for axiom in checked:
         with_h = axiom == "C1"  # the only axiom over pairs g, h
-        levels = [(n, _axiom_positions(axiom, n, d)) for n in range(1, n_max + 1)]
-        levels = [level for level in levels if level[1]]
+        levels = [n for n in range(1, n_max + 1) if _axiom_position_count(axiom, n)]
         per_level = -(-budget // max(1, len(levels)))
-        for n, positions in levels:
+        for n in levels:
             if exhaustive:
+                positions = _axiom_positions(axiom, n, d)
                 elems = tuple(fam.iterate(n))
                 hs = elems if with_h else (None,)
                 instances = ((g, p, h) for g in elems for h in hs for p in positions)
             else:  # drawn left to right: g, the position, then h
+                count = _axiom_position_count(axiom, n)
                 instances = (
-                    (fam.sample(n, rng), rng.choice(positions))
+                    (fam.sample(n, rng), _axiom_position(axiom, n, d, rng.randrange(count)))
                     + (fam.sample(n, rng) if with_h else None,)
                     for _ in range(per_level)
                 )

@@ -1,8 +1,9 @@
 """The dcs experiments: each turns library results into an ExperimentReport.
 
-An experiment is a function f(system, params, seed) of its parameters with
-defaults filled in; cli.EXPERIMENTS names one per experiment, and cli.run
-stamps the report's experiment, system, seed and runtime_ms.  A refusal is a
+An experiment is a function f(system, seed, *, <its parameters>) whose
+keyword defaults are the CLI's defaults; cli.EXPERIMENTS names one per
+experiment, and cli.run stamps the report's experiment, system, seed and
+runtime_ms.  A refusal is a
 ValueError with a one-line message.  All arithmetic is exact, so a verdict
 over an exhaustive enumeration is a proof at the checked scale, and one over
 samples is labelled consistent-with-theorem; the underlying statements
@@ -79,32 +80,29 @@ class ExperimentReport:
         return cls(**{name: doc[name] for name in names if name in doc})
 
 
-def _radius(params: dict) -> int:
+def _checked_radius(radius: int) -> int:
     """A ball experiment's radius, refused below 1 before any ball is built."""
-    if params["radius"] < 1:
+    if radius < 1:
         raise ValueError("radius must be >= 1")
-    return params["radius"]
+    return radius
 
 
-def _elements_for(system, params: dict, seed: int):
-    """The elements a ball experiment checks."""
-    if params["elements"]:
-        return [parse_element(system, t) for t in params["elements"]]
-    elements = analysis.sample_nontrivial_elements(
-        system, params["budget"], random.Random(seed)
-    )
+def _elements_for(system, texts, budget: int, seed: int):
+    """The elements a ball experiment checks: those given, else a sample."""
+    if texts:
+        return [parse_element(system, t) for t in texts]
+    elements = analysis.sample_nontrivial_elements(system, budget, random.Random(seed))
     if not elements:
         raise ValueError("no element to check: give --element or a budget >= 1")
     return elements
 
 
-def verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
-    exhaustive = params["exhaustive"]
+def verify_axioms(system, seed, *, n=4, exhaustive=False, budget=1000) -> ExperimentReport:
     result = cloning.verify_axioms(
-        system, n_max=params["n"], exhaustive=exhaustive, budget=params["budget"], seed=seed
+        system, n_max=n, exhaustive=exhaustive, budget=budget, seed=seed
     )
     return ExperimentReport(
-        params=params,
+        params={"n": n, "exhaustive": exhaustive, "budget": budget},
         series={"checked": result["checked"]},
         witnesses=[] if result["ok"] else [
             f"{result['axiom']} fails at {result['counterexample']}"
@@ -114,17 +112,15 @@ def verify_axioms(system, params: dict, seed: int) -> ExperimentReport:
     )
 
 
-def probe(system, params: dict, seed: int) -> ExperimentReport:
-    if params["property"] is None:
+def probe(system, seed, *, property=None, n=4, budget=500) -> ExperimentReport:
+    if property is None:
         raise ValueError(
             f"probe needs a property, one of {', '.join(cloning.PROBE_PROPERTIES)}"
         )
-    result = cloning.probe_property(
-        system, params["property"], n_max=params["n"], budget=params["budget"], seed=seed
-    )
+    result = cloning.probe_property(system, property, n_max=n, budget=budget, seed=seed)
     detail = result["verdict"]
     return ExperimentReport(
-        params=params,
+        params={"property": property, "n": n, "budget": budget},
         series={"verdict_detail": detail},
         witnesses=[str(result["counterexample"])] if detail == "fails" else [],
         verdict="fail" if detail == "fails" else "pass",
@@ -132,14 +128,11 @@ def probe(system, params: dict, seed: int) -> ExperimentReport:
     )
 
 
-def diversity(system, params: dict, seed: int) -> ExperimentReport:
-    n = params["n"]
-    result = cloning.diversity_witness(
-        system, n, budget=params["budget"], seed=seed, exhaustive=params["exhaustive"]
-    )
+def diversity(system, seed, *, n=3, budget=500, exhaustive=None) -> ExperimentReport:
+    result = cloning.diversity_witness(system, n, budget=budget, seed=seed, exhaustive=exhaustive)
     witness = result["witness"]
     return ExperimentReport(
-        params={"n": n, "budget": params["budget"]},
+        params={"n": n, "budget": budget},
         series={"witness_found": witness is not None},
         witnesses=[] if witness is None else [system.family.to_text(n + system.d - 1, witness)],
         verdict="witness" if witness is not None else "no-witness",
@@ -147,12 +140,11 @@ def diversity(system, params: dict, seed: int) -> ExperimentReport:
     )
 
 
-def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
+def _growth(count, system, seed, radius, budget, texts) -> ExperimentReport:
     """Per-element counts over the F_d balls of radius 1..radius."""
-    radius = _radius(params)
-    radii = range(1, radius + 1)
+    radii = range(1, _checked_radius(radius) + 1)
     balls = [analysis.enumerate_fd_ball(system, L) for L in radii]
-    elements = _elements_for(system, params, seed)
+    elements = _elements_for(system, texts, budget, seed)
     counts = [[count(x, ball) for ball in balls] for x in elements]
     # monotonicity in the radius is an exact invariant
     ok = all(a <= b for c in counts for a, b in zip(c, c[1:]))
@@ -166,18 +158,19 @@ def _growth(count, system, params: dict, seed: int) -> ExperimentReport:
     )
 
 
-def conjugates(system, params: dict, seed: int) -> ExperimentReport:
-    return _growth(analysis.conjugate_count, system, params, seed)
+def conjugates(system, seed, *, radius=3, budget=5, elements=None) -> ExperimentReport:
+    return _growth(analysis.conjugate_count, system, seed, radius, budget, elements)
 
 
-def wahp_orbit(system, params: dict, seed: int) -> ExperimentReport:
-    return _growth(analysis.coset_orbit_count, system, params, seed)
+def wahp_orbit(system, seed, *, radius=3, budget=3, elements=None) -> ExperimentReport:
+    return _growth(analysis.coset_orbit_count, system, seed, radius, budget, elements)
 
 
-def normalizer(system, params: dict, seed: int) -> ExperimentReport:
-    radius, one_sided = _radius(params), params["one_sided"]
-    ball = analysis.enumerate_fd_ball(system, radius)
-    elements = _elements_for(system, params, seed)
+def normalizer(
+    system, seed, *, radius=3, budget=3, one_sided=False, elements=None
+) -> ExperimentReport:
+    ball = analysis.enumerate_fd_ball(system, _checked_radius(radius))
+    elements = _elements_for(system, elements, budget, seed)
     results, witnesses = [], []
     for x in elements:
         ok, failing = analysis.normalizes_up_to(x, ball, one_sided=one_sided)
@@ -193,18 +186,20 @@ def normalizer(system, params: dict, seed: int) -> ExperimentReport:
     )
 
 
-def mixing(system, params: dict, seed: int) -> ExperimentReport:
+def mixing(
+    system, seed, *, tree=None, leaf_word=None, middle=None, graft_a=None, graft_b=None
+) -> ExperimentReport:
     d = system.d
     rng = random.Random(seed)
-    if params["tree"]:
-        R = parse_tree(params["tree"], d)
+    if tree:
+        R = parse_tree(tree, d)
     else:
         # non-pure systems need room for a nontrivial middle fixing the leaf
         R = caret(d) if system.pure else expand_at(caret(d), d)
-    if params["leaf_word"]:
-        if not params["leaf_word"].isdecimal():
-            raise ValueError(f"leaf word {params['leaf_word']!r} is not a string of digits")
-        v = tuple(int(c) for c in params["leaf_word"])
+    if leaf_word:
+        if not leaf_word.isdecimal():
+            raise ValueError(f"leaf word {leaf_word!r} is not a string of digits")
+        v = tuple(int(c) for c in leaf_word)
     elif system.pure:
         v = (1,)
     else:
@@ -212,8 +207,8 @@ def mixing(system, params: dict, seed: int) -> ExperimentReport:
         v = leaf_words(R)[-1]
     n = R.leaf_count
     identity = system.family.identity(n)
-    if params["middle"]:
-        g = system.family.parse(n, params["middle"])
+    if middle:
+        g = system.family.parse(n, middle)
     else:
         # prefer a nontrivial middle that acts trivially at the graft leaf:
         # for tuple middles, identity in the grafted slot (the expansions
@@ -235,13 +230,13 @@ def mixing(system, params: dict, seed: int) -> ExperimentReport:
         )
     # default grafts: one caret hung on the first vs the last leaf of a caret
     graft_a, graft_b = (
-        parse_tree(params[key], d) if params[key] else expand_at(caret(d), i)
-        for key, i in (("graft_a", 1), ("graft_b", d))
+        parse_tree(graft, d) if graft else expand_at(caret(d), i)
+        for graft, i in ((graft_a, 1), (graft_b, d))
     )
     result = analysis.mixing_witness(system, R, v, g, graft_a, graft_b)
     report = ExperimentReport(
         params={
-            "tree": params["tree"] or "caret",
+            "tree": tree or "caret",
             "leaf_word": "".join(str(c) for c in v),
         },
         series={
@@ -259,7 +254,7 @@ def mixing(system, params: dict, seed: int) -> ExperimentReport:
     return report
 
 
-def fpf(system, params: dict, seed: int) -> ExperimentReport:
+def fpf(system, seed, *, n=3, m=5) -> ExperimentReport:
     """Checks around a system prod:<group>:id,<phi> (see is_id_phi_product).
 
     Premises: phi is an involution without nontrivial fixed points.  Then
@@ -271,16 +266,15 @@ def fpf(system, params: dict, seed: int) -> ExperimentReport:
     """
     if not cloning.is_id_phi_product(system):
         raise ValueError("fpf expects a system of the form prod:<group>:id,<phi>")
-    n, m_max = params["n"], params["m"]
     if n < 1:
         raise ValueError("n must be >= 1")
-    if m_max < 1:
+    if m < 1:
         raise ValueError("m must be >= 1")
     # T below is the right spine on nT leaves, and powers_closed_form(system,
     # T, 1, nT, k) reduces to trees of depth k + 1; the deepest trees built
-    # are the ell = 4 conjugator, k = 3 nT + 2, and the (m_max + 1)-th power
+    # are the ell = 4 conjugator, k = 3 nT + 2, and the (m + 1)-th power
     nT = max(n, 2)
-    for name, value, depth in (("n", n, 3 * nT + 3), ("m", m_max, m_max + 2)):
+    for name, value, depth in (("n", n, 3 * nT + 3), ("m", m, m + 2)):
         if depth > MAX_TREE_DEPTH:
             raise ValueError(
                 f"{name} = {value} builds trees of depth {depth}, "
@@ -290,7 +284,7 @@ def fpf(system, params: dict, seed: int) -> ExperimentReport:
     base, phi = system.base, system.monos[1]
     pool = base.elements()
     report = ExperimentReport(
-        params={"base": base.name, "phi": phi.label, "n": n, "m_max": m_max},
+        params={"base": base.name, "phi": phi.label, "n": n, "m_max": m},
         evidence=EVIDENCE_SAMPLED if pool is None else EVIDENCE_EXHAUSTIVE,
     )
     if pool is None:
@@ -331,11 +325,11 @@ def fpf(system, params: dict, seed: int) -> ExperimentReport:
     T = right_spine(2, nT - 1)
     base_pair = power = powers_closed_form(system, T, 1, nT, 1)
     checks["spine_powers_closed_form"] = True
-    for m in range(2, m_max + 2):
-        power = power * base_pair  # base_pair ** m, one product per step
-        if powers_closed_form(system, T, 1, nT, m) != power:
+    for j in range(2, m + 2):
+        power = power * base_pair  # base_pair ** j, one product per step
+        if powers_closed_form(system, T, 1, nT, j) != power:
             checks["spine_powers_closed_form"] = False
-            report.witnesses.append(f"spine_powers_closed_form fails at m={m}")
+            report.witnesses.append(f"spine_powers_closed_form fails at m={j}")
             break
 
     x = Element(system, T, (nontrivial[0],) * nT, T)
@@ -376,17 +370,16 @@ def _random_point(d: int, depth: int, rng) -> "cantor.CantorWord":
     return cantor.CantorWord(pre, per)
 
 
-def cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
+def cantor_crosscheck(system, seed, *, radius=2, budget=100, depth=12) -> ExperimentReport:
     if not system.permutation_type:
         raise ValueError("cantor-crosscheck needs one of the F/T/V/Vhat systems")
     rng = random.Random(seed)
-    ball = analysis.enumerate_system_ball(system, _radius(params))
+    ball = analysis.enumerate_system_ball(system, _checked_radius(radius))
     rng2 = random.Random(seed + 1)
     sampled = [
-        (random_element(system, rng2), random_element(system, rng2))
-        for _ in range(params["budget"])
+        (random_element(system, rng2), random_element(system, rng2)) for _ in range(budget)
     ]
-    points = [_random_point(system.d, params["depth"], rng) for _ in range(8)]
+    points = [_random_point(system.d, depth, rng) for _ in range(8)]
     table = cache(cantor.from_tree_pair)  # per element, in this call
     checked = points_checked = 0
     witnesses = []
@@ -417,7 +410,7 @@ def cantor_crosscheck(system, params: dict, seed: int) -> ExperimentReport:
         f"{check} fails at {element_text(x)}" for check, x in breakers.items() if x is not None
     ]
     return ExperimentReport(
-        params=params,
+        params={"radius": radius, "budget": budget, "depth": depth},
         series={
             "pairs_checked": checked,
             "points_checked": points_checked,

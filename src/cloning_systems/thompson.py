@@ -178,14 +178,9 @@ class Element:
 
     __slots__ = ("sys", "T", "g", "U", "_hash")
 
-    def __init__(self, system: CloningSystem, T: Tree, g, U: Tree):
+    def __new__(cls, system: CloningSystem, T: Tree, g, U: Tree):
         t = reduce_triple(Triple(system, T, g, U))
-        T, g, U = t.T, t.g, t.U
-        self.sys = system
-        self.T = T
-        self.g = g
-        self.U = U
-        self._hash = hash((system.name, T, g, U))
+        return _element(system, t.T, t.g, t.U)
 
     @classmethod
     def identity(cls, system: CloningSystem) -> "Element":
@@ -254,8 +249,8 @@ class Element:
 
 
 def _element(system: CloningSystem, T: Tree, g, U: Tree) -> Element:
-    """Trusted constructor: (T, g, U) must be a reduced triple that passes
-    the checks of Triple(...)."""
+    """Trusted constructor, and the one place an element's fields are set:
+    (T, g, U) must be a reduced triple that passes the checks of Triple(...)."""
     x = object.__new__(Element)
     x.sys, x.T, x.g, x.U = system, T, g, U
     x._hash = hash((system.name, T, g, U))

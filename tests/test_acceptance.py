@@ -292,8 +292,8 @@ def test_criterion_12_presentation_relations():
 def test_fpf_suites_supplement():
     # named fixed-point-free example systems behind criteria 7 and 8
     z3 = make_system("prod:Z3:id,inv")
-    assert fpf(z3, {"n": 3, "m": 5}, 0).verdict == "pass"
+    assert fpf(z3, 0, n=3, m=5).verdict == "pass"
     f2 = make_system("prod:F2:id,swap")
-    assert fpf(f2, {"n": 3, "m": 5}, 0).verdict == "pass"
+    assert fpf(f2, 0, n=3, m=5).verdict == "pass"
     z2 = make_system("prod:Z2:id,inv")
-    assert fpf(z2, {"n": 3, "m": 5}, 0).verdict == "premise-failed"
+    assert fpf(z2, 0, n=3, m=5).verdict == "premise-failed"

@@ -501,33 +501,33 @@ def test_mixing_witness_validates_grafts():
 
 
 def test_fpf_suite_cyclic():
-    report = fpf(make_system("prod:Z3:id,inv"), {"n": 3, "m": 5}, 0)
+    report = fpf(make_system("prod:Z3:id,inv"), 0, n=3, m=5)
     assert report.verdict == "pass"
     assert report.evidence == EVIDENCE_EXHAUSTIVE
     assert all(report.series["checks"].values())
 
 
 def test_fpf_suite_free_group():
-    report = fpf(make_system("prod:F2:id,swap"), {"n": 3, "m": 5}, 0)
+    report = fpf(make_system("prod:F2:id,swap"), 0, n=3, m=5)
     assert report.verdict == "pass"
 
 
 def test_fpf_suite_two_torsion_premise_fails():
-    report = fpf(make_system("prod:Z2:id,inv"), {"n": 3, "m": 5}, 0)
+    report = fpf(make_system("prod:Z2:id,inv"), 0, n=3, m=5)
     assert report.verdict == "premise-failed"
     assert not report.series["checks"]["premise_fixed_point_free"]
 
 
 @pytest.mark.parametrize("group, phi", [("Z2", "inv"), ("Z3", "id")])
 def test_fpf_suite_premise_failure_names_a_witness(group, phi):
-    report = fpf(make_system(f"prod:{group}:id,{phi}"), {"n": 3, "m": 5}, 0)
+    report = fpf(make_system(f"prod:{group}:id,{phi}"), 0, n=3, m=5)
     assert report.verdict == "premise-failed"
     assert report.witnesses == ["premise_fixed_point_free fails at 1"]
 
 
 def test_fpf_suite_rejects_empty_power_range():
     with pytest.raises(ValueError, match="m must be >= 1"):
-        fpf(make_system("prod:Z3:id,inv"), {"n": 3, "m": 0}, 0)
+        fpf(make_system("prod:Z3:id,inv"), 0, n=3, m=0)
 
 
 def test_report_json_roundtrip():

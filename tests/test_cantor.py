@@ -69,6 +69,13 @@ def test_cantor_word_rejects_empty_period():
         CantorWord((1,), ())
 
 
+def test_cantor_word_refuses_bool_letters():
+    # True == 1, yet CantorWord((True, 2), (2,)) would print as the unparseable True(2)
+    for pre, per in (((True, 2), (2,)), ((), (1, False))):
+        with pytest.raises(ValueError, match="^bad letter (True|False)$"):
+            CantorWord(pre, per)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -612,6 +619,19 @@ def test_apply_rejects_letters_outside_the_alphabet():
     for text in ("(3)", "1(3)", "22(13)"):
         with pytest.raises(ValueError, match=r"^letter 3 out of range 1\.\.2$"):
             f.apply(parse_cantor_word(text))
+
+
+def test_prefix_map_refuses_bool_letters():
+    # a bool letter passes every set and Kraft test as 1, yet prints as True
+    ident = identity_element(2)
+    with pytest.raises(ValueError, match="domain"):
+        PrefixMap(2, (((True,), (2,), ident), ((2,), (1,), ident)))
+    with pytest.raises(ValueError, match="domain"):  # True beside a 1 the set keeps
+        PrefixMap(
+            2, (((1, 1), (1,), ident), ((True, 2), (2, 1), ident), ((2,), (2, 2), ident))
+        )
+    with pytest.raises(ValueError, match="range"):
+        PrefixMap(2, (((1,), (True,), ident), ((2,), (2,), ident)))
 
 
 def test_prefix_map_equality_distinguishes():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -57,7 +58,7 @@ def test_help_contract_for_every_subcommand(capsys):
     flag_of["elements"] = "--element"
     shared = {"--help", "--system", "--seed", "--out", "--config"}
     parser = build_parser()
-    rows = {name: defaults for name, (defaults, _) in EXPERIMENTS.items()}
+    rows = {name: fn.__kwdefaults__ for name, fn in EXPERIMENTS.items()}
     for name, params in {**rows, "report": PARAM_TYPES}.items():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([name, "--help"])
@@ -616,14 +617,50 @@ def test_radius_below_one_is_refused_before_any_ball(capsys, monkeypatch, name):
 def test_a_direct_experiment_call_leaves_the_stamps_to_the_caller(name, key, params):
     # run() stamps experiment, system, seed and runtime_ms; an experiment
     # function called directly, fpf included, leaves them at their defaults
-    defaults, experiment = EXPERIMENTS[name]
-    report = experiment(make_system(key), {**defaults, **params}, 2)
+    report = EXPERIMENTS[name](make_system(key), 2, **params)
     assert (report.experiment, report.system, report.seed, report.runtime_ms) == ("", "", 0, 0)
     stamped = run(RunConfig(key, name, params, seed=2))
     assert (stamped.experiment, stamped.system, stamped.seed) == (name, key, 2)
     assert stamped.to_json(include_runtime=False) == dataclasses.replace(
         report, experiment=name, system=key, seed=2
     ).to_json(include_runtime=False)
+
+
+def test_every_experiment_takes_system_seed_then_its_parameters_as_keywords():
+    for name, fn in EXPERIMENTS.items():
+        sig = inspect.signature(fn)
+        positional = [p.name for p in sig.parameters.values() if p.kind is not p.KEYWORD_ONLY]
+        assert positional == ["system", "seed"], name
+        assert list(fn.__kwdefaults__) == list(sig.parameters)[2:], name
+        assert set(fn.__kwdefaults__) <= set(PARAM_TYPES), name
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("verify-axioms", "V"),
+        ("probe", "V"),
+        ("diversity", "V"),
+        ("conjugates", "V"),
+        ("normalizer", "V"),
+        ("wahp-orbit", "V"),
+        ("mixing", "psi:Z3:id,id"),
+        ("fpf", "prod:Z3:id,inv"),
+        ("cantor-crosscheck", "V"),
+    ],
+)
+def test_run_with_no_params_equals_a_direct_call_with_no_keywords(name, key):
+    # run() fills in nothing: the keyword defaults are the only defaults
+    def outcome(call):
+        try:
+            report = call()
+        except ValueError as exc:  # probe has no default property
+            return f"error: {exc}"
+        return dataclasses.replace(report, experiment="", system="", runtime_ms=0)
+
+    direct = outcome(lambda: EXPERIMENTS[name](make_system(key), 0))
+    assert outcome(lambda: run(RunConfig(key, name, {}))) == direct
+    assert name != "probe" or direct.startswith("error: probe needs a property")
 
 
 def _falling_counts(monkeypatch):
@@ -865,7 +902,7 @@ def _sweep_argv(name, system, value):
     argv = [name, "--system", system]
     if name == "probe":
         argv.append("pure")
-    for key in EXPERIMENTS[name][0]:
+    for key in EXPERIMENTS[name].__kwdefaults__:
         if PARAM_TYPES[key] is int:
             argv += ["--" + key, str(value)]
     return argv
@@ -875,10 +912,10 @@ def _sweep_argv(name, system, value):
     "argv",
     [
         _sweep_argv(name, system, value)
-        for name, (defaults, _) in EXPERIMENTS.items()
+        for name, fn in EXPERIMENTS.items()
         for system in SWEEP_SYSTEMS
         for value in (0, 1, 2)
-        if value == 0 or any(PARAM_TYPES[k] is int for k in defaults)
+        if value == 0 or any(PARAM_TYPES[k] is int for k in fn.__kwdefaults__)
     ],
     ids=" ".join,
 )

@@ -357,6 +357,16 @@ def test_sampled_positions_cover_the_table(monkeypatch, axiom):
     assert drawn == {tuple(pos.items()) for pos in table}
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("axiom", ["C1", "C2", "C3"])
+def test_indexed_positions_equal_the_table(axiom, d):
+    # a sampled sweep draws an index and maps it, never building the table
+    for n in range(1, 9):
+        count = cloning._axiom_position_count(axiom, n)
+        indexed = [cloning._axiom_position(axiom, n, d, idx) for idx in range(count)]
+        assert indexed == cloning._axiom_positions(axiom, n, d)
+
+
 def test_axiom_c1_trivial_elements():
     for system in ALL_SYSTEMS:
         e = system.family.identity(3)
@@ -646,6 +656,13 @@ def _peak_bytes(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_sampled_axiom_sweep_builds_no_position_table():
+    # the C3 tables of every level up to n = 60 hold about n^3 / 3 dicts, some
+    # 20 MB; a sampled sweep that checks 59 C3 instances needs none of them
+    V = make_system("V")
+    assert _peak_bytes(lambda: verify_axioms(V, n_max=60, budget=10)) < 2**20
 
 
 def test_exhaustive_sweeps_read_g_n_one_element_at_a_time():

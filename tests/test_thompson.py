@@ -21,6 +21,7 @@ from cloning_systems.thompson import (
     Element,
     SystemMismatch,
     Triple,
+    _element,
     commutator,
     composite_inverse_closed_form,
     element_text,
@@ -150,6 +151,19 @@ def test_elements_refuse_new_attributes():
     for x in (Element.identity(V), fd_generator(V, 0)):
         with pytest.raises(AttributeError):
             x.extra = 1
+
+
+def test_element_checks_and_reduces_once(monkeypatch):
+    calls = []
+    check, reduce = Triple.__init__, thompson.reduce_triple
+    monkeypatch.setattr(Triple, "__init__", lambda t, *a: calls.append("check") or check(t, *a))
+    monkeypatch.setattr(
+        thompson, "reduce_triple", lambda t: calls.append("reduce") or reduce(t)
+    )
+    T = expand_at(caret(2), 1)
+    x = Element(V, T, perm_identity(3), T)
+    assert calls == ["check", "reduce"]
+    assert x == Element.identity(V) and hash(x) == hash(Element.identity(V))
 
 
 def test_expansion_of_trivial_middle_keeps_it_trivial():
@@ -782,19 +796,13 @@ def test_kernel_membership():
 
 def test_kernel_needs_full_compatibility_flag():
     system = make_system("V")
-    system_broken = make_system("V")
-    object.__setattr__  # no mutation API; simulate via a stub system
+    # no mutation API; simulate via a stub system
     class NotCompatible:
         name = "stub"
         d = 2
         fully_compatible = False
     x = Element.identity(system)
-    stub = Element.__new__(Element)
-    object.__setattr__(stub, "sys", NotCompatible())
-    object.__setattr__(stub, "T", x.T)
-    object.__setattr__(stub, "g", x.g)
-    object.__setattr__(stub, "U", x.U)
-    object.__setattr__(stub, "_hash", 0)
+    stub = _element(NotCompatible(), x.T, x.g, x.U)
     with pytest.raises(UnsupportedError):
         pi_to_Vd(stub)
 
