@@ -17,9 +17,9 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from operator import itemgetter
 
-from .groups import UnsupportedError, perm_identity
+from .groups import UnsupportedError, is_perm, perm_identity
 from .thompson import Element
-from .trees import leaf_words
+from .trees import is_word, leaf_words
 
 Word = tuple[int, ...]
 
@@ -147,7 +147,7 @@ class Automaton:
         for name, (rho, delta) in states.items():
             rho = tuple(rho)
             delta = tuple(delta)
-            if sorted(rho) != list(range(1, d + 1)):
+            if len(rho) != d or not is_perm(rho):
                 raise ValueError(f"state {name!r}: output is not a permutation")
             if len(delta) != d or any(t not in states for t in delta):
                 raise ValueError(f"state {name!r}: transitions leave the state set")
@@ -221,8 +221,9 @@ class AutomatonElement:
 
     def step(self, letter: int) -> tuple[int, "AutomatonElement"]:
         """One level of the wreath recursion: output letter and section."""
-        if not 1 <= letter <= self.d:
-            raise ValueError(f"letter {letter} out of range 1..{self.d}")
+        # is_word's test, inline: step runs once per letter of every section
+        if not (type(letter) is int and 1 <= letter <= self.d):
+            raise ValueError(f"letter {letter!r} out of range 1..{self.d}")
         word = self.word
         if len(word) == 1:
             machine, name, sign = word[0]
@@ -254,12 +255,9 @@ class AutomatonElement:
 
     def apply_finite(self, word: Word) -> tuple[Word, "AutomatonElement"]:
         """Image of a finite word together with the section below it."""
-        if not self.word:
-            for letter in word:
-                if not 1 <= letter <= self.d:
-                    raise ValueError(f"letter {letter} out of range 1..{self.d}")
+        if not self.word and is_word(word, self.d):
             return tuple(word), self
-        out: list[int] = []
+        out: list[int] = []  # step raises on the first bad letter
         cur = self
         for letter in word:
             o, cur = cur.step(letter)
@@ -399,12 +397,10 @@ def _is_complete_prefix_code(words: Iterable[Word], d: int) -> bool:
     successor; a prefix-free code is complete exactly when its Kraft sum
     (sum of d^-|w|) is 1.
     """
-    words = sorted(words)
-    # each letter, not their set: True == 1, yet a bool letter prints as True
-    if any(type(a) is not int for w in words for a in w):
+    words = list(words)
+    if not all(is_word(w, d) for w in words):  # before sorting: 1 < "a" raises
         return False
-    if not set().union(*words) <= set(range(1, d + 1)):
-        return False
+    words.sort()
     if any(b[: len(a)] == a for a, b in zip(words, words[1:])):
         return False
     depth = max(map(len, words), default=0)
@@ -418,8 +414,8 @@ class PrefixMap:
     range words each form a complete prefix code, so every point matches
     exactly one rule on each side.  Fields are read-only by contract.
 
-    PrefixMap(...) sorts the rules by domain word and checks both codes and
-    the arity of every state, so a table built from outside values is
+    PrefixMap(...) checks both codes and the arity of every state, then
+    sorts the rules by domain word, so a table built from outside values is
     checked once, where it enters.  Tables built from checked ones stay
     valid: compose refines the other table's domain code and its range
     words are the images of a homeomorphism, invert swaps the two codes,
@@ -434,7 +430,7 @@ class PrefixMap:
     __slots__ = ("d", "rules")
 
     def __init__(self, d: int, rules: Iterable[Rule]):
-        rules = tuple(sorted(rules, key=lambda r: r[0]))
+        rules = tuple(rules)
         if not rules:
             raise ValueError("a prefix map needs at least one rule")
         doms = [r[0] for r in rules]
@@ -447,7 +443,7 @@ class PrefixMap:
             if s.d != d:
                 raise ValueError("state arity mismatch")
         self.d = d
-        self.rules = rules
+        self.rules = tuple(sorted(rules, key=itemgetter(0)))
 
     @staticmethod
     def identity(d: int) -> "PrefixMap":
@@ -467,9 +463,9 @@ class PrefixMap:
 
     def apply(self, point: CantorWord) -> CantorWord:
         """Image of an eventually periodic point; exact via cycle detection."""
-        bad = [a for a in point.pre + point.per if a > self.d]
-        if bad:
-            raise ValueError(f"letter {bad[0]} out of range 1..{self.d}")
+        letters = point.pre + point.per
+        if not is_word(letters, self.d):  # a CantorWord's letters are >= 1
+            raise ValueError(f"letter {max(letters)} out of range 1..{self.d}")
         depth = max(len(u) for u, _, _ in self.rules)
         dom, rng, state = self.rule_at(point.prefix(depth))
         tail = point.drop(len(dom))

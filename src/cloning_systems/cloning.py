@@ -524,9 +524,10 @@ def diversity_witness(
 ) -> dict:
     """Search for a nontrivial element in the intersection of all clone images.
 
-    When G_{n+d-1} is finite the search is exhaustive and an empty result
-    proves the intersection trivial at this level; otherwise constructed
-    candidates and seeded samples are tried and absence is evidence only.
+    When G_{n+d-1} is finite the search runs over clone_1(G_n), which holds
+    the intersection, and an empty result proves it trivial at this level;
+    otherwise constructed candidates and seeded samples are tried and
+    absence is evidence only.
     A sampled search that draws no candidate at all raises ValueError.
     """
     if n < 1:
@@ -536,8 +537,8 @@ def diversity_witness(
     identity = fam.identity(big)
     if exhaustive is None:
         exhaustive = fam.is_finite(big)
-    if exhaustive:
-        candidates = fam.iterate(big)
+    if exhaustive:  # clone_1 is injective, so each candidate comes once
+        candidates = (system.clone(n, 1, h) for h in fam.iterate(n))
     else:  # constructed candidates first, then samples drawn only as needed
         samples = (fam.sample(big, rng) for _ in range(budget))
         candidates = chain(_pattern_candidates(system, n, rng, budget), samples)

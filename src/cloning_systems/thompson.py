@@ -31,7 +31,6 @@ from .trees import (
     glue_caret,
     graft_forest,
     leaf,
-    leaf_words,
     parse_tree,
     random_tree,
     removable_carets,
@@ -525,9 +524,9 @@ def endpoint_slope_character(x: Element) -> tuple[int, int]:
     """
     if not x.in_fd():
         raise ValueError("the endpoint character is only defined on F_d elements")
-    wt = leaf_words(x.T)
-    wu = leaf_words(x.U)
-    return (len(wt[0]) - len(wu[0]), len(wt[-1]) - len(wu[-1]))
+    # a leaf's depth is the length of its address word
+    T, U = x.T.depths, x.U.depths
+    return (T[0] - U[0], T[-1] - U[-1])
 
 
 def random_element(

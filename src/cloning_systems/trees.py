@@ -268,10 +268,15 @@ def leaf_word(t: Tree, k: int) -> tuple[int, ...]:
     return next(islice(_words(t.d, t.depths), k - 1, None))
 
 
+def is_word(word, d: int) -> bool:
+    """True when every letter is an int in 1..d (no bool, no float)."""
+    return all(type(a) is int and 1 <= a <= d for a in word)
+
+
 def leaf_index(t: Tree, word: tuple[int, ...]) -> int:
     """Inverse of leaf_word; raises if word is not a leaf address of t."""
     v = tuple(word)
-    if all(1 <= step <= t.d for step in v):
+    if is_word(v, t.d):
         for k, w in enumerate(_words(t.d, t.depths), start=1):
             if w[: len(v)] == v:
                 if len(w) == len(v):
@@ -317,8 +322,6 @@ def expansion_path(t: Tree, target: Tree) -> list[int]:
 
 def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:
     """Minimal common expansion W with replay paths for both inputs."""
-    if t.d != u.d:
-        raise ValueError("arity mismatch")
     w = tree_union(t, u)
     return w, expansion_path(t, w), expansion_path(u, w)
 

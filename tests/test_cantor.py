@@ -129,6 +129,29 @@ def test_automaton_validation():
         Automaton(2, {"s": ((1, 2), ("s", "t"))})  # transition leaves state set
 
 
+@pytest.mark.parametrize("rho", [(2, True), (2.0, 1), ("a", 1), (1, 2, 3)])
+def test_automaton_outputs_are_int_permutations_of_the_alphabet(rho):
+    # (2, True) sorts to [1, 2]; (2.0, 1) and ("a", 1) made __init__ raise TypeError
+    states = {"s": (rho, ("e", "e")), "e": ((1, 2), ("e", "e"))}
+    with pytest.raises(ValueError, match=r"^state 's': output is not a permutation$"):
+        Automaton(2, states)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "a", None])
+def test_letters_that_are_not_ints_are_refused(bad):
+    # True == 1 and 1.0 == 1 passed the range test; "a" and None raised TypeError
+    message = rf"^letter {bad!r} out of range 1\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        identity_element(2).apply_finite((bad, 2))
+    with pytest.raises(ValueError, match=message):
+        identity_element(2).apply_finite((1, bad))
+    for e in (identity_element(2), full_reflection(2)):
+        with pytest.raises(ValueError, match=message):
+            e.step(bad)
+        with pytest.raises(ValueError, match=message):
+            e.apply_finite((2, bad))
+
+
 def _is_trivial_state(machine, name):
     """Oracle: the per-call predicate that Automaton.trivial replaced."""
     rho, delta = machine.states[name]
@@ -632,6 +655,16 @@ def test_prefix_map_refuses_bool_letters():
         )
     with pytest.raises(ValueError, match="range"):
         PrefixMap(2, (((1,), (True,), ident), ((2,), (2,), ident)))
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1.0])
+def test_prefix_map_checks_letters_before_sorting_the_rules(bad):
+    # "a" and None do not compare with an int, so sorting first raised TypeError
+    ident = identity_element(2)
+    with pytest.raises(ValueError, match=r"^domain words do not form a complete prefix code$"):
+        PrefixMap(2, (((bad,), (1,), ident), ((2,), (2,), ident)))
+    with pytest.raises(ValueError, match=r"^range words do not form a complete prefix code$"):
+        PrefixMap(2, (((1,), (2,), ident), ((2,), (bad,), ident)))
 
 
 def test_prefix_map_equality_distinguishes():

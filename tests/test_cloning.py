@@ -22,6 +22,7 @@ from cloning_systems.cloning import (
 from cloning_systems.groups import cycle_perm, perm_apply, perm_identity
 from cloning_systems.thompson import Element
 from cloning_systems.trees import caret
+from test_thompson import ALL_KEYS
 
 ALL_SYSTEMS = [make_system(key) for key in BUILTIN_SYSTEM_KEYS]
 FINITE_SYSTEMS = [s for s in ALL_SYSTEMS if s.family.is_finite(4)]
@@ -735,6 +736,16 @@ def test_one_stream_search_matches_the_three_loop_oracle(key):
             args = (system, n, budget, seed, exhaustive)
             expected = _search_outcome(_three_loop_diversity_witness, *args)
             assert _search_outcome(diversity_witness, *args) == expected
+
+
+@pytest.mark.parametrize("key", [k for k in ALL_KEYS if make_system(k).family.is_finite(4)])
+def test_exhaustive_search_over_clone_1_matches_the_search_over_g_big(key):
+    # the oracle's exhaustive branch reads all of G_{n+d-1}, the old stream;
+    # the intersection of the clone images lies in the image of clone_1
+    system = make_system(key)
+    for n in range(1, 6 if system.d == 2 else 4):
+        expected = _three_loop_diversity_witness(system, n)
+        assert expected["exhaustive"] and diversity_witness(system, n) == expected
 
 
 def _record_samples(monkeypatch, system):

@@ -20,6 +20,7 @@ from cloning_systems.trees import (
     glue_caret,
     graft,
     graft_forest,
+    is_word,
     leaf,
     leaf_index,
     leaf_word,
@@ -565,6 +566,19 @@ def test_graft_rejects_steps_outside_one_to_d():
                 graft(caret(d), (step,), caret(d))
     with pytest.raises(ValueError, match="internal vertex"):
         graft(expand_at(caret(2), 1), (1,), caret(2))
+
+
+def test_leaf_addresses_refuse_letters_that_are_not_ints():
+    # True == 1 and 1.0 == 1 pass a range test, and "a" fails it with a TypeError
+    t = parse_tree("(..)", 2)
+    for word in ((True,), (1.0,), ("a",), (1, None)):
+        assert not is_word(word, 2)
+        with pytest.raises(ValueError, match=r"^.* is not a leaf address$"):
+            leaf_index(t, word)
+        with pytest.raises(ValueError, match=r"^.* is not a leaf address$"):
+            graft(t, word, caret(2))
+    assert is_word((), 2) and is_word((1, 2, 3), 3) and not is_word((3,), 2)
+    assert graft(t, (1,), caret(2)) == parse_tree("((..).)", 2)
 
 
 def test_agree_away_from_two_leaves_has_no_proper_vertex():
