@@ -395,14 +395,10 @@ def property_counterexample(
 ) -> dict | None:
     """Counterexample for one element, or None if the property holds on it."""
     d = system.d
-    if prop == "pure":
-        if system.rho(n, g) != perm_identity(n):
-            return {"n": n, "g": g, "rho": system.rho(n, g)}
-        return None
-    if prop == "slightly_pure":
-        if perm_apply(system.rho(n, g), n) != n:
-            return {"n": n, "g": g, "rho": system.rho(n, g)}
-        return None
+    if prop in ("pure", "slightly_pure"):  # rho(g) is trivial, or fixes n
+        rho = system.rho(n, g)
+        ok = rho == perm_identity(n) if prop == "pure" else perm_apply(rho, n) == n
+        return None if ok else {"n": n, "g": g, "rho": rho}
     if prop == "fully_compatible":
         for k in range(1, n + 1):
             lhs = system.rho(n + d - 1, system.clone(n, k, g))
@@ -544,7 +540,12 @@ def diversity_witness(
         candidates = chain(_pattern_candidates(system, n, rng, budget), samples)
     x = None  # stays None only when the stream is empty
     for x in candidates:
-        if x != identity and in_all_images(system, n, x):
+        # clone_1(h) lies in G_{n+d-1} and the image at k = 1 already
+        if x != identity and (
+            all(system.try_unclone(n, k, x) is not None for k in range(2, n + 1))
+            if exhaustive
+            else in_all_images(system, n, x)
+        ):
             return {"witness": x, "exhaustive": exhaustive}
     if x is None:
         raise ValueError(f"sampled search tried no candidate at budget {budget}")

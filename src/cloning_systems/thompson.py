@@ -9,7 +9,8 @@ triple, which is the canonical form: equality and hashing go through it.
 Multiplication expands both factors to a common middle tree and multiplies
 the group elements ([T,g,U][U,h,W] = [T,gh,W]); inversion swaps the trees
 and inverts the middle.  Elements with identity middle form the canonical
-copy of the Higman-Thompson group F_d.
+copy of the Higman-Thompson group F_d; a product of two of them clones
+nothing, so its outer trees are spliced along the expansion paths instead.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .cloning import CloningSystem, make_system
 from .groups import UnsupportedError, perm_apply
 from .trees import (
     Tree,
+    _expand_along,
     _tree,
     _tree_carets,
     collapse_at,
@@ -106,7 +108,7 @@ def _triple(system: CloningSystem, T: Tree, g, U: Tree) -> Triple:
 def expand_triple(t: Triple, k: int) -> Triple:
     """Expansion at leaf k of the right tree (and at rho(g)(k) of the left)."""
     system, g, n = t.sys, t.g, t.T.leaf_count
-    if not 1 <= k <= n:
+    if not (type(k) is int and 1 <= k <= n):
         raise IndexError(f"expansion position {k} out of range 1..{n}")
     return _triple(
         system,
@@ -260,13 +262,18 @@ def mul(x: Element, y: Element) -> Element:
     if x.sys.name != y.sys.name:
         raise SystemMismatch(f"cannot multiply {x.sys.name} by {y.sys.name}")
     w, x_path, y_path = common_expansion(x.U, y.T)
+    n = w.leaf_count
+    if x.in_fd() and y.in_fd():
+        # clone_k(1) = 1 (C1) and rho(1) = id: each outer tree grows along
+        # its partner's path, and no caret is replayed
+        T, W = _expand_along(x.T, x_path), _expand_along(y.U, y_path)
+        return Element(x.sys, T, x.sys.family.identity(n), W)
     tx = x.triple()
     for k in x_path:
         tx = expand_triple(tx, k)
     ty = y.triple()
     for j in y_path:
         ty = expand_triple(ty, y.sys.rho(ty.T.leaf_count, ty.g).index(j) + 1)
-    n = w.leaf_count
     return Element(x.sys, tx.T, x.sys.family.mul(n, tx.g, ty.g), ty.U)
 
 

@@ -217,7 +217,7 @@ def parse_tree(text: str, d: int) -> Tree:
 
 def expand_at(t: Tree, k: int) -> Tree:
     """Glue a d-ary caret onto leaf k (1-based); leaf count grows by d-1."""
-    if not 1 <= k <= t.leaf_count:
+    if not (type(k) is int and 1 <= k <= t.leaf_count):
         raise IndexError(f"leaf index {k} out of range 1..{t.leaf_count}")
     depths = t.depths
     return _tree(t.d, depths[: k - 1] + (depths[k - 1] + 1,) * t.d + depths[k:])
@@ -248,7 +248,8 @@ def collapse_at(t: Tree, k: int) -> Tree:
     last = k + d - 2  # the caret's last leaf, 0-based
     width = _widths(d, max(depths))
     if not (
-        1 <= k
+        type(k) is int
+        and 1 <= k
         and last < len(depths)
         and depths[k - 1] == depths[last]
         and not sum(map(width.__getitem__, depths[: k - 1])) % width[depths[last] - 1]
@@ -263,7 +264,7 @@ def leaf_words(t: Tree) -> tuple[tuple[int, ...], ...]:
 
 
 def leaf_word(t: Tree, k: int) -> tuple[int, ...]:
-    if not 1 <= k <= t.leaf_count:
+    if not (type(k) is int and 1 <= k <= t.leaf_count):
         raise IndexError(f"leaf index {k} out of range 1..{t.leaf_count}")
     return next(islice(_words(t.d, t.depths), k - 1, None))
 
@@ -318,6 +319,18 @@ def expansion_path(t: Tree, target: Tree) -> list[int]:
     if missing:
         raise ValueError("target does not dominate the tree")
     return path
+
+
+def _expand_along(t: Tree, path: list[int]) -> Tree:
+    """Inverse of expansion_path: t expanded at each leaf of path in turn.
+
+    One splice of the depths per caret and one tree at the end; the path is
+    trusted, each index a leaf of the tree grown so far.
+    """
+    d, depths = t.d, list(t.depths)
+    for k in path:
+        depths[k - 1 : k] = [depths[k - 1] + 1] * d
+    return _tree(d, tuple(depths))
 
 
 def common_expansion(t: Tree, u: Tree) -> tuple[Tree, list[int], list[int]]:

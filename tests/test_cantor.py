@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cloning_systems import cantor
-from cloning_systems.analysis import enumerate_system_ball, sample_nontrivial_elements
+from cloning_systems.analysis import (
+    enumerate_fd_ball,
+    enumerate_system_ball,
+    sample_nontrivial_elements,
+)
 from cloning_systems.cantor import (
     Automaton,
     AutomatonElement,
@@ -474,6 +478,20 @@ def test_compose_matches_tree_pair_multiplication(key):
     for _ in range(300):
         x, y = random_element(system, rng), random_element(system, rng)
         assert from_tree_pair(x * y).equals(from_tree_pair(x).compose(from_tree_pair(y)))
+
+
+@pytest.mark.parametrize("key", PERMUTATION_KEYS)
+def test_identity_middle_products_match_composed_prefix_maps(key):
+    # products of two identity middles are grafted, not replayed
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 3 if system.d == 2 else 2).elements
+    rng = random.Random(47)
+    acc = Element.identity(system)
+    for _ in range(150):
+        x, y = rng.choice(ball), rng.choice(ball)
+        assert from_tree_pair(x * y).equals(from_tree_pair(x).compose(from_tree_pair(y)))
+        assert from_tree_pair(acc * y).equals(from_tree_pair(acc).compose(from_tree_pair(y)))
+        acc = acc * y
 
 
 @pytest.mark.parametrize("key", PERMUTATION_KEYS)

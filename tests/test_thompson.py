@@ -40,6 +40,7 @@ from cloning_systems.thompson import (
 from cloning_systems.trees import (
     caret,
     collapse_at,
+    common_expansion,
     expand_at,
     expansion_path,
     leaf,
@@ -218,6 +219,15 @@ def test_expand_left_targets_requested_leaf():
             message = rf"^expansion position {j} out of range 1\.\.{t.n}$"
             with pytest.raises(IndexError, match=message):
                 expand_left(t, j)
+
+
+def test_expansion_positions_refuse_bool_and_float():
+    # True == 1 and 1.0 == 1 pass a range test alone
+    t = Element(V, caret(2), cycle_perm(2, (1, 2)), caret(2)).triple()
+    for k in (True, 1.0):
+        with pytest.raises(IndexError, match=rf"^expansion position {k} out of range 1\.\.2$"):
+            expand_triple(t, k)
+    assert expand_triple(t, 1).g == (2, 3, 1)
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)
@@ -443,6 +453,76 @@ def test_pow_of_spine_commutators_matches_closed_form(dd, key):
         )
         for m in (1, 2, 3, 7, 16, 25, 40):
             assert x**m == powers_closed_form(system, T, k, l, m)
+
+
+def _replayed_product(x, y):
+    """The caret replay: expand each factor one caret at a time, cloning its middle.
+
+    mul runs it for every product with a non-identity middle; for two identity
+    middles it is the oracle of the graft.
+    """
+    w, x_path, y_path = common_expansion(x.U, y.T)
+    tx = x.triple()
+    for k in x_path:
+        tx = expand_triple(tx, k)
+    ty = y.triple()
+    for j in y_path:
+        ty = expand_triple(ty, y.sys.rho(ty.n, ty.g).index(j) + 1)
+    return Element(x.sys, tx.T, x.sys.family.mul(w.leaf_count, tx.g, ty.g), ty.U)
+
+
+def _refuse_replay(monkeypatch, system):
+    def refuse(*args):
+        raise AssertionError("replayed a caret")
+
+    monkeypatch.setattr(thompson, "expand_triple", refuse)
+    monkeypatch.setattr(system, "clone", refuse)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_identity_middle_products_equal_the_caret_replay(key, monkeypatch):
+    system = make_system(key)
+    ball = enumerate_fd_ball(system, 4 if system.d == 2 else 3).elements
+    rng = random.Random(41)
+    pairs = [(x, y) for x in ball[:6] for y in ball]
+    pairs += [(x, x.inv()) for x in ball]
+    pairs += [tuple(rng.sample(ball, 2)) for _ in range(300)]
+    acc = Element.identity(system)  # a long product, so the trees grow
+    for y in rng.sample(ball, 40):
+        pairs.append((acc, y))
+        acc = _replayed_product(acc, y)
+    want = [_replayed_product(x, y) for x, y in pairs]
+    _refuse_replay(monkeypatch, system)
+    assert [x * y for x, y in pairs] == want
+    assert all(z.in_fd() for z in want)
+
+
+def test_a_product_with_another_middle_keeps_the_replay(monkeypatch):
+    x = fd_generator(V, 0)
+    swap = Element(V, caret(2), cycle_perm(2, (1, 2)), caret(2))
+    pairs = ((swap, x), (x, swap), (swap, swap.inv() * x))
+    _refuse_replay(monkeypatch, V)
+    for a, b in pairs:
+        with pytest.raises(AssertionError, match="replayed a caret"):
+            a * b
+
+
+@pytest.mark.parametrize("key", ALL_KEYS)
+def test_identity_middle_powers_equal_the_closed_form(key, monkeypatch):
+    system = make_system(key)
+    d = system.d
+    rng = random.Random(43)
+    cases = []
+    for _ in range(3):
+        T = random_tree(d, rng.randint(1, 3), rng)
+        n = T.leaf_count
+        k = rng.randint(1, n - 1)
+        l = rng.randint(k + 1, n)
+        x = Element(system, expand_at(T, k), system.family.identity(n + d - 1), expand_at(T, l))
+        cases += [(x, powers_closed_form(system, T, k, l, m), m) for m in range(1, 41)]
+    _refuse_replay(monkeypatch, system)
+    for x, want, m in cases:
+        assert x**m == want
 
 
 def test_equality_iff_quotient_is_identity():

@@ -1,4 +1,5 @@
 import random
+import re
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from cloning_systems.trees import (
     Tree,
     _closes,
     _compositions,
+    _expand_along,
     _tree,
     agree_away_from,
     caret,
@@ -297,6 +299,27 @@ def test_expansion_path_rejects_other_arity():
         expansion_path(leaf(2), caret(3))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expanding_along_the_expansion_path_rebuilds_the_target(d):
+    rng = random.Random(200 + d)
+    for _ in range(500):
+        t = random_tree(d, rng.randint(0, 6), rng)
+        w = t
+        for _ in range(rng.randint(0, 8)):
+            w = expand_at(w, rng.randint(1, w.leaf_count))
+        u = tree_union(t, random_tree(d, rng.randint(0, 6), rng))
+        for target in (w, u):
+            path = expansion_path(t, target)
+            assert _expand_along(t, path) == target
+            # the splice is the caret-by-caret replay
+            replay = t
+            for k in path:
+                replay = expand_at(replay, k)
+            assert _expand_along(t, path) == replay
+    t = random_tree(d, 3, rng)
+    assert _expand_along(t, []) == t
+
+
 def test_agree_away_from_identical_trees_first_leaf():
     t = random_tree(2, 3, random.Random(4))
     found = agree_away_from(t, t)
@@ -566,6 +589,23 @@ def test_graft_rejects_steps_outside_one_to_d():
                 graft(caret(d), (step,), caret(d))
     with pytest.raises(ValueError, match="internal vertex"):
         graft(expand_at(caret(2), 1), (1,), caret(2))
+
+
+def test_leaf_indices_refuse_bool_and_float():
+    # True == 1 and 1.0 == 1 pass a range test alone
+    t = parse_tree("(..)", 2)
+    for k in (True, 1.0):
+        out_of_range = "^" + re.escape(f"leaf index {k} out of range 1..2") + "$"
+        with pytest.raises(IndexError, match=out_of_range):
+            expand_at(t, k)
+        with pytest.raises(IndexError, match=out_of_range):
+            leaf_word(t, k)
+        no_caret = "^" + re.escape(f"no removable caret at leaf {k}") + "$"
+        with pytest.raises(ValueError, match=no_caret):
+            collapse_at(t, k)
+    assert expand_at(t, 1) == parse_tree("((..).)", 2)
+    assert leaf_word(t, 1) == (1,)
+    assert collapse_at(t, 1) == leaf(2)
 
 
 def test_leaf_addresses_refuse_letters_that_are_not_ints():
